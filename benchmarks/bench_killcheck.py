@@ -6,11 +6,12 @@ I/II university workload on two arms:
 
 * **cached** — the default batched path (DESIGN.md §5g): mutants walk
   each dataset in fingerprint-sorted order over a shared
-  :class:`~repro.engine.subplan.SubplanCache`, with row-count
-  short-circuiting of the signature comparison;
-* **uncached** — the ablation arm (``KillCheckConfig.uncached()``, the
-  seed's behaviour): every mutant tree re-executed from scratch, full
-  bag canonicalisation on every comparison.
+  :class:`~repro.engine.subplan.SubplanCache`;
+* **uncached** — the reference arm (``KillCheckConfig.uncached()``):
+  every mutant tree re-executed from scratch, in the same order and
+  with the same row-count / raw-bag short cut in front of the
+  canonical signature comparison — so the two arms differ only in
+  the subplan cache.
 
 Both arms must produce byte-identical kill matrices; the benchmark
 fails loudly if they do not (``kill_matrices_identical`` is asserted,

@@ -1,31 +1,26 @@
-"""Parallel + hot-path pipeline benchmark: sequential vs workers=4 vs delta.
+"""Parallel pipeline benchmark: full compile vs delta solving at workers=4.
 
 Measures wall-clock for generating complete mutant-killing test suites
 over the multi-query workload (every Table I/II university query, each
-at every Table I foreign-key variant, at full mutation coverage), three
+at every Table I foreign-key variant, at full mutation coverage), two
 ways:
 
-* **sequential** — the seed-equivalent pipeline: one query at a time,
-  ``workers=1``, with every hot-path cache disabled
-  (``hot_path_caching=False``, ``SearchConfig(hot_path=False)``), i.e.
-  the rebuild-everything-per-spec behaviour this PR started from;
-* **workers=4** — the optimised pipeline with delta solving pinned
-  *off* (``SearchConfig(delta_solve=False)``): hot-path caching on, the
-  whole workload dispatched as one batch through the shared process
-  pool with ``workers=4``.  The pool is sized to the machine
+* **workers=4** — the pipeline with delta solving pinned *off*
+  (``SearchConfig(delta_solve=False)``, the full-compile reference
+  arm): the whole workload dispatched as one batch through the shared
+  process pool with ``workers=4``.  The pool is sized to the machine
   (``min(workers, cpu_count)``); when only one CPU is available the
-  batch legitimately runs in-process, so the recorded speedup on such
-  hosts comes from the hot-path work alone and is a *lower bound* for
-  multi-core hardware.
-* **delta** — the same optimised pipeline with delta solving on (the
-  default): each query's shared PK/FK/domain constraint system is
-  compiled once into a skeleton (DESIGN.md §5j), sibling kill groups
+  batch legitimately runs in-process, so the arm says nothing about
+  multi-core scaling on such hosts.
+* **delta** — the same pipeline with delta solving on (the default):
+  each query's shared PK/FK/domain constraint system is compiled once
+  into a skeleton (DESIGN.md §5j), sibling kill groups
   solve as incremental deltas against it, and the process-level
   skeleton/declaration stores carry the compiled state across repeat
   rounds of the same request — the repeat-request shape a generation
   service sees.
 
-All arms must produce byte-identical datasets; the benchmark fails
+Both arms must produce byte-identical datasets; the benchmark fails
 loudly if they do not.  Results are written to ``BENCH_parallel.json``
 at the repository root.
 
@@ -40,7 +35,7 @@ import os
 import platform
 import time
 
-from repro.core.generator import GenConfig, XDataGenerator
+from repro.core.generator import GenConfig
 from repro.core.parallel import effective_workers, generate_jobs_parallel
 from repro.datasets.university import UNIVERSITY_QUERIES, schema_with_fks
 from repro.solver.search import SearchConfig
@@ -63,18 +58,9 @@ def build_jobs():
     return jobs, len(schema_cache)
 
 
-def sequential_config() -> GenConfig:
-    return GenConfig(
-        include_join_condition_datasets=True,
-        hot_path_caching=False,
-        solver=SearchConfig(hot_path=False),
-        workers=1,
-    )
-
-
 def parallel_config() -> GenConfig:
     # delta_solve pinned off so the delta arm's speedup is attributable
-    # to the skeleton pipeline alone, not to the rest of the hot path.
+    # to the skeleton pipeline alone.
     return GenConfig(
         include_join_condition_datasets=True,
         workers=WORKERS,
@@ -92,14 +78,6 @@ def scripts_of(suites) -> list[str]:
         for suite in suites
         for dataset in suite.datasets
     ]
-
-
-def run_sequential(jobs, config):
-    start = time.perf_counter()
-    suites = [
-        XDataGenerator(schema, config).generate(sql) for schema, sql in jobs
-    ]
-    return time.perf_counter() - start, suites
 
 
 def run_parallel(jobs, config):
@@ -128,7 +106,6 @@ def skeleton_totals(suites) -> dict[str, int]:
 
 def main() -> None:
     jobs, schema_count = build_jobs()
-    seq_cfg = sequential_config()
     par_cfg = parallel_config()
     delta_cfg = delta_config()
 
@@ -137,18 +114,16 @@ def main() -> None:
     # declaration stores.
     _, par_suites = run_parallel(jobs, par_cfg)
     _, delta_suites = run_parallel(jobs, delta_cfg)
-    _, seq_suites = run_sequential(jobs, seq_cfg)
 
     par_scripts = scripts_of(par_suites)
     delta_scripts = scripts_of(delta_suites)
-    seq_scripts = scripts_of(seq_suites)
-    identical = par_scripts == seq_scripts == delta_scripts
+    identical = par_scripts == delta_scripts
     digest = hashlib.sha256(
-        "\n".join(seq_scripts).encode()
+        "\n".join(par_scripts).encode()
     ).hexdigest()[:16]
 
-    seq_times, par_times, delta_times = [], [], []
-    seq_stages = par_stages = delta_stages = None
+    par_times, delta_times = [], []
+    par_stages = delta_stages = None
     delta_skeleton = None
     for _ in range(ROUNDS):
         elapsed, suites = run_parallel(jobs, par_cfg)
@@ -158,14 +133,11 @@ def main() -> None:
         delta_times.append(elapsed)
         delta_stages = stage_totals(suites)
         delta_skeleton = skeleton_totals(suites)
-        elapsed, suites = run_sequential(jobs, seq_cfg)
-        seq_times.append(elapsed)
-        seq_stages = stage_totals(suites)
 
-    seq_best, par_best = min(seq_times), min(par_times)
+    par_best = min(par_times)
     delta_best = min(delta_times)
     result = {
-        "benchmark": "parallel test-suite generation + solver hot-path",
+        "benchmark": "parallel test-suite generation: full compile vs delta",
         "workload": {
             "description": (
                 "Table I/II university queries x FK variants, full "
@@ -174,31 +146,18 @@ def main() -> None:
             "queries": len(UNIVERSITY_QUERIES),
             "jobs": len(jobs),
             "schemas": schema_count,
-            "datasets": len(seq_scripts),
+            "datasets": len(par_scripts),
         },
         "machine": {
             "cpu_count": os.cpu_count(),
             "python": platform.python_version(),
         },
         "arms": {
-            "sequential": {
-                "description": "seed-equivalent: workers=1, all hot-path caching disabled",
-                "config": {
-                    "workers": 1,
-                    "hot_path_caching": False,
-                    "solver_hot_path": False,
-                },
-                "times_s": [round(t, 4) for t in seq_times],
-                "best_s": round(seq_best, 4),
-                "stage_totals_s": seq_stages,
-            },
             "workers=4": {
-                "description": "optimised pipeline: hot-path caching on, batched through the shared pool, delta solving pinned off",
+                "description": "full-compile pipeline batched through the shared pool, delta solving pinned off",
                 "config": {
                     "workers": WORKERS,
                     "effective_workers": effective_workers(WORKERS, len(jobs)),
-                    "hot_path_caching": True,
-                    "solver_hot_path": True,
                     "delta_solve": False,
                 },
                 "times_s": [round(t, 4) for t in par_times],
@@ -206,12 +165,10 @@ def main() -> None:
                 "stage_totals_s": par_stages,
             },
             "delta": {
-                "description": "optimised pipeline + compile-once/delta-solve skeletons with warm process-level stores",
+                "description": "same pipeline + compile-once/delta-solve skeletons with warm process-level stores",
                 "config": {
                     "workers": WORKERS,
                     "effective_workers": effective_workers(WORKERS, len(jobs)),
-                    "hot_path_caching": True,
-                    "solver_hot_path": True,
                     "delta_solve": True,
                 },
                 "times_s": [round(t, 4) for t in delta_times],
@@ -223,8 +180,6 @@ def main() -> None:
         },
         "byte_identical_datasets": identical,
         "datasets_sha256": digest,
-        "speedup": round(seq_best / par_best, 3),
-        "speedup_delta": round(seq_best / delta_best, 3),
     }
 
     out = os.path.abspath(OUT_PATH)
@@ -235,10 +190,10 @@ def main() -> None:
     print(json.dumps(result, indent=2))
     if not identical:
         raise SystemExit("FAIL: dataset mismatch between arms")
-    print(f"\nwrote {out}: speedup {result['speedup']}x "
-          f"({seq_best:.3f}s sequential vs {par_best:.3f}s workers={WORKERS}), "
-          f"delta {result['arms']['delta']['speedup_vs_optimised']}x vs "
-          f"optimised ({delta_best:.3f}s)")
+    print(f"\nwrote {out}: delta "
+          f"{result['arms']['delta']['speedup_vs_optimised']}x vs full "
+          f"compile ({delta_best:.3f}s vs {par_best:.3f}s, "
+          f"workers={WORKERS})")
 
 
 if __name__ == "__main__":

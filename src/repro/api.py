@@ -18,8 +18,7 @@ handle and a fingerprint-keyed suite cache across calls::
             result = session.evaluate(submission)   # equivalent spellings hit the cache
 
 Kill-check evaluation switches travel in one :class:`EvalOptions`
-value rather than a keyword per switch; the old keywords still work but
-warn :class:`DeprecationWarning`.
+value rather than a keyword per switch.
 
 Everything here is re-exported from :mod:`repro`; this module is the
 documented entry point, and ``tests/test_public_api.py`` locks its
@@ -35,7 +34,6 @@ surface so it cannot drift silently::
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 from repro.core.generator import (
@@ -161,10 +159,8 @@ class Evaluation:
 class EvalOptions:
     """Kill-check evaluation switches, bundled (DESIGN.md §5e).
 
-    Replaces the former keyword sprawl on :func:`evaluate`
-    (``include_full_outer`` / ``backend`` / ``cross_check`` /
-    ``kill_config``) with one value that travels through sessions, the
-    job queue and the HTTP service unchanged.
+    One value that travels through sessions, the job queue and the HTTP
+    service unchanged.
 
     Attributes:
         include_full_outer: Enumerate FULL OUTER JOIN mutants too.
@@ -183,44 +179,6 @@ class EvalOptions:
     backend: object = None
     cross_check: bool = False
     kill_config: KillCheckConfig | None = None
-
-
-#: The deprecated ``evaluate()`` keywords and the EvalOptions field each
-#: maps to; kept as data so the shim and its test stay in lockstep.
-_LEGACY_EVAL_KEYWORDS = (
-    "include_full_outer",
-    "backend",
-    "cross_check",
-    "kill_config",
-)
-
-
-def _coerce_options(options: EvalOptions | None, legacy: dict) -> EvalOptions:
-    """Fold deprecated ``evaluate()`` keywords into an :class:`EvalOptions`.
-
-    Mirrors the ``*_deadline_s`` precedent: old spellings keep working
-    but warn, and mixing old and new spellings is an error rather than a
-    silent precedence rule.
-    """
-    unknown = [k for k in legacy if k not in _LEGACY_EVAL_KEYWORDS]
-    if unknown:
-        raise TypeError(
-            f"evaluate() got unexpected keyword argument {unknown[0]!r}"
-        )
-    if not legacy:
-        return options or EvalOptions()
-    if options is not None:
-        raise TypeError(
-            "pass evaluation switches either via options=EvalOptions(...) "
-            f"or via the deprecated keywords {sorted(legacy)}, not both"
-        )
-    warnings.warn(
-        f"evaluate() keywords {sorted(legacy)} are deprecated; "
-        "pass options=EvalOptions(...) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return EvalOptions(**legacy)
 
 
 def generate(
@@ -270,20 +228,17 @@ def _evaluate_run(run: Run, options: EvalOptions) -> Evaluation:
 def evaluate(
     schema: Schema | str, query: str, *,
     config: GenConfig | None = None, options: EvalOptions | None = None,
-    **legacy,
 ) -> Evaluation:
     """Generate a suite and score it against the query's mutants.
 
     Evaluation switches (backend selection, cross-checking, FULL OUTER
     mutants, kill-check tuning) travel in ``options`` — see
-    :class:`EvalOptions`.  The former per-switch keywords are accepted
-    with a :class:`DeprecationWarning`.  Subplan-cache traffic lands in
+    :class:`EvalOptions`.  Subplan-cache traffic lands in
     ``run.health.subplan_cache`` and, when metrics are on, as
     ``xdata_subplan_cache_*`` counters in the snapshot.
     """
-    opts = _coerce_options(options, legacy)
     run = generate(schema, query, config=config)
-    return _evaluate_run(run, opts)
+    return _evaluate_run(run, options or EvalOptions())
 
 
 def fingerprint(schema: Schema | str, query, config: GenConfig | None = None) -> str:

@@ -31,6 +31,7 @@ from repro.datasets.university import (
 from repro.errors import XDataError
 from repro.mutation import enumerate_mutants
 from repro.schema.ddl import parse_ddl
+from repro.solver.search import SearchConfig
 from repro.testing import classify_survivors, evaluate_suite
 from repro.testing.report import format_kill_report, format_suite, format_trace
 
@@ -339,7 +340,7 @@ def main(argv: list[str] | None = None) -> int:
         sql = _read_query(args)
         config = GenConfig(
             unfold=not args.no_unfold,
-            delta_solve=False if args.no_delta_solve else None,
+            solver=SearchConfig(delta_solve=not args.no_delta_solve),
             input_db=input_db,
             trace_constraints=getattr(args, "show_constraints", False),
             workers=max(1, args.workers),

@@ -68,8 +68,6 @@ class PoolAssigner:
         #: in the same order (warm-table replay), so the preferred codes
         #: are identical by construction.
         self._info_cache: dict[str, object] = {}
-        #: Hot-path ablation hook (see GenConfig.hot_path_caching).
-        self.cache_enabled = True
         for fk in schema.foreign_keys():
             for col, ref_col in fk.column_pairs():
                 self.link((fk.table, col), (fk.ref_table, ref_col))
@@ -101,7 +99,7 @@ class PoolAssigner:
     def preferred_values(self, table: str, column: str) -> tuple[str, ...]:
         """Union of enumerated domains across the column's pool members."""
         cache_key = (table.lower(), column.lower())
-        cached = self._pref_cache.get(cache_key) if self.cache_enabled else None
+        cached = self._pref_cache.get(cache_key)
         if cached is not None:
             return cached
         root = self._find(cache_key)

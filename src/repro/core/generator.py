@@ -23,7 +23,6 @@ from __future__ import annotations
 import dataclasses
 import os
 import time
-import warnings
 from dataclasses import InitVar, dataclass, field
 
 from repro.core import (
@@ -102,18 +101,6 @@ class GenConfig:
     #: and merged back in spec order, so the resulting suite is identical
     #: to a sequential run.
     workers: int = 1
-    #: Hot-path ablation switch: reuse of the database-constraint formula
-    #: list across attempts/specs with the same tuple-space signature.
-    #: Off reproduces the seed's rebuild-every-attempt behaviour
-    #: (benchmarks only; generated datasets are identical either way).
-    hot_path_caching: bool = True
-    #: Delta-solve override (DESIGN.md §5j): ``True``/``False`` force
-    #: :attr:`SearchConfig.delta_solve` on the forwarded solver config;
-    #: ``None`` leaves the solver config as constructed.  Convenience
-    #: plumb-through for the CLI's ``--no-delta-solve``.  Delta solving
-    #: additionally requires ``unfold`` and ``hot_path_caching`` and is
-    #: bypassed for attempts that assert input-database constraints.
-    delta_solve: bool | None = None
     #: Extension: anti-coincidence datasets that kill wrong-attribute
     #: join-condition mutants (repro.mutation.joincond); off by default
     #: to preserve the paper's dataset counts.
@@ -126,7 +113,7 @@ class GenConfig:
     #: -- fault tolerance (DESIGN.md §5d) --------------------------------
     #: Wall-clock budget for one spec, covering its whole retry ladder
     #: (seconds; ``None`` = unbounded).  Also bounds each individual
-    #: solve via :attr:`SearchConfig.deadline_s`.
+    #: solve via :attr:`SearchConfig.solve_deadline_s`.
     spec_deadline_s: float | None = None
     #: Wall-clock budget for the whole :meth:`XDataGenerator.generate`
     #: call; specs not started (or not finished, in a pooled run) when
@@ -165,30 +152,10 @@ class GenConfig:
     #: path from worker configs (one writer only); the workload layer
     #: replays worker span trees into the parent's journal instead.
     journal_path: str | None = None
-    #: Deprecated spelling of :attr:`pool_deadline_s` (constructor
-    #: keyword only; warns).
-    pool_timeout_s: InitVar[float | None] = None
     #: Optional :class:`Budgets` overlay applied onto the deadline knobs.
     budgets: InitVar[Budgets | None] = None
 
-    def __post_init__(
-        self, pool_timeout_s: float | None, budgets: Budgets | None
-    ) -> None:
-        # Apply only when pool_deadline_s was not itself set: replace()
-        # round-trips the alias property, and the re-passed old value
-        # must not clobber a new pool_deadline_s in the same call.
-        if pool_timeout_s is not None and self.pool_deadline_s is None:
-            warnings.warn(
-                "GenConfig(pool_timeout_s=...) is deprecated; use "
-                "pool_deadline_s",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            self.pool_deadline_s = pool_timeout_s
-        if self.delta_solve is not None:
-            self.solver = dataclasses.replace(
-                self.solver, delta_solve=self.delta_solve
-            )
+    def __post_init__(self, budgets: Budgets | None) -> None:
         if budgets is not None:
             if budgets.solve_deadline_s is not None:
                 self.solver = dataclasses.replace(
@@ -205,20 +172,6 @@ class GenConfig:
     def observability_on(self) -> bool:
         """True when any of trace / metrics / journal is requested."""
         return self.trace or self.metrics or self.journal_path is not None
-
-
-def _pool_timeout_s_alias(self) -> float | None:
-    warnings.warn(
-        "GenConfig.pool_timeout_s is deprecated; read pool_deadline_s",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return self.pool_deadline_s
-
-
-# Assigned after the decorator ran so the dataclass machinery sees only
-# the InitVar, not the property, as the ``pool_timeout_s`` class attribute.
-GenConfig.pool_timeout_s = property(_pool_timeout_s_alias)
 
 
 @dataclass
@@ -483,7 +436,7 @@ def _original_spec(aq: AnalyzedQuery) -> DatasetSpec:
     )
 
 
-#: Parsed-AST cache keyed by query text (hot-path mode only).  The AST is
+#: Parsed-AST cache keyed by query text.  The AST is
 #: immutable — every node in :mod:`repro.sql.ast` is a frozen dataclass and
 #: neither analysis nor decorrelation mutates one — so a single parse can
 #: serve every generator and schema variant that sees the same SQL text.
@@ -644,16 +597,13 @@ class XDataGenerator:
         with tracer.span("generate") as root:
             with tracer.span("parse") as record:
                 if isinstance(query, str):
-                    if config.hot_path_caching:
-                        if metrics is not None:
-                            metrics.inc(
-                                "xdata_cache_parse_hits"
-                                if query in _PARSE_CACHE
-                                else "xdata_cache_parse_misses"
-                            )
-                        parsed = _parse_cached(query)
-                    else:
-                        parsed = parse_query(query)
+                    if metrics is not None:
+                        metrics.inc(
+                            "xdata_cache_parse_hits"
+                            if query in _PARSE_CACHE
+                            else "xdata_cache_parse_misses"
+                        )
+                    parsed = _parse_cached(query)
                 else:
                     parsed = query
                 if parsed.has_subquery_predicates:
@@ -735,11 +685,7 @@ class XDataGenerator:
                 ]
             else:
                 caches: dict = {}
-                if (
-                    config.solver.delta_solve
-                    and config.unfold
-                    and config.hot_path_caching
-                ):
+                if config.solver.delta_solve and config.unfold:
                     # Content address of this request.  Scopes the
                     # process-level skeleton store: same scope ==
                     # identical (schema, analyzed query text, config) ==
@@ -920,7 +866,6 @@ class XDataGenerator:
         worker processes rely on this to re-derive a spec from its index
         alone (specs hold closures, which do not pickle).
         """
-        aq.pools.cache_enabled = self.config.hot_path_caching
         specs: list[DatasetSpec] = [_original_spec(aq)]
         skipped: list[SkippedTarget] = []
 
@@ -1010,8 +955,6 @@ class XDataGenerator:
         ``counts`` (observability, §5e) receives hit/miss deltas under
         the ``db_constraints_*`` keys.
         """
-        if not self.config.hot_path_caching:
-            return db_constraints(space)
         signature = (
             space.copies,
             tuple(sorted(space.sizes.items())),
@@ -1083,10 +1026,10 @@ class XDataGenerator:
         """A fresh, fully-declared problem space for ``spec``.
 
         The declared state depends only on (query, copies, support-column
-        sequence); with hot-path caching on, it is built once per shape
-        and replayed from a snapshot for every sibling attempt and spec.
-        Support columns vary per spec, so the per-``copies`` base
-        declaration (occurrence slots only) is snapshotted separately and
+        sequence), so it is built once per shape and replayed from a
+        snapshot for every sibling attempt and spec.  Support columns
+        vary per spec, so the per-``copies`` base declaration
+        (occurrence slots only) is snapshotted separately and
         spec-specific support slots are declared incrementally on top —
         declaration order (occurrence slots first, then support slots)
         matches a from-scratch build, so interned codes are identical.
@@ -1102,13 +1045,6 @@ class XDataGenerator:
             if self.config.use_fk_support_slots
             else ()
         )
-        if not self.config.hot_path_caching:
-            solver = Solver(search_config)
-            space = ProblemSpace(aq, solver, copies=spec.copies)
-            for table, column in support:
-                add_fk_support_slots(space, table, column)
-            space.finalize_declarations()
-            return space
         key = (spec.copies, support)
         snap = decl_cache.get(key)
         if snap is None and scope is not None:
@@ -1283,7 +1219,6 @@ class XDataGenerator:
                         use_delta = (
                             solver.config.delta_solve
                             and config.unfold
-                            and config.hot_path_caching
                             and not use_input
                         )
                         solver.add_all(build(space))

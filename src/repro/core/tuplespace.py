@@ -138,8 +138,8 @@ class ProblemSpace:
         if solver.has_var(name):
             return Linear.of_var(name)
         pools = self.aq.pools
-        cache = pools._decl_cache if pools.cache_enabled else None
-        if cache is not None and solver.warm_declarations:
+        cache = pools._decl_cache
+        if solver.warm_declarations:
             # Warm-table replay: the declared info (with its interned
             # preferred codes) is valid verbatim in any solver whose
             # table descends from the first declaration build.
@@ -150,7 +150,7 @@ class ProblemSpace:
                     solver._infos_shared = False
                 solver._infos[name] = info
                 return Linear.of_var(name)
-        prepared = cache.get(name) if cache is not None else None
+        prepared = cache.get(name)
         if prepared is None:
             schema_col = self.aq.schema.table(table).column(column)
             if schema_col.sqltype.is_textual:
@@ -164,15 +164,13 @@ class ProblemSpace:
                     int(v) for v in schema_col.domain if isinstance(v, int)
                 )
                 prepared = ("int", None, _rotate(preferred_ints, index))
-            if cache is not None:
-                cache[name] = prepared
+            cache[name] = prepared
         kind, pool, preferred = prepared
         if kind == "str":
             result = solver.str_var(name, pool, preferred)
         else:
             result = solver.int_var(name, preferred)
-        if cache is not None:
-            pools._info_cache[name] = solver._infos[name]
+        pools._info_cache[name] = solver._infos[name]
         return result
 
     def attr_var(self, attr: Attr, copy: int = 0) -> Linear:

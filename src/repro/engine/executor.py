@@ -9,8 +9,8 @@ cache, each pipeline subtree's frame is memoized under its structural
 fingerprint per dataset, the kind-independent matching pass of a join is
 shared across the INNER/LEFT/RIGHT/FULL variants of the same join (the
 join-type mutation axis), and GROUP BY partitions are shared across
-aggregate-function and HAVING mutants.  Without a cache the behaviour is
-the seed's: every subtree recomputed from scratch.  Results are
+aggregate-function and HAVING mutants.  Without a cache every subtree
+is recomputed from scratch (the reference arm).  Results are
 identical either way — cached values are never mutated (kernel row
 lists are copied before outer-join padding).
 """

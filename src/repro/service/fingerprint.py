@@ -70,7 +70,7 @@ __all__ = [
 #: Version tag mixed into every digest; bump on any canonicalization
 #: change so stale persisted cache entries can never be confused with
 #: fresh ones.
-_VERSION = "xdata-fp-v1"
+_VERSION = "xdata-fp-v2"
 
 #: GenConfig fields excluded from the fingerprint: each is documented to
 #: leave generated suites byte-identical (observability attaches

@@ -24,7 +24,7 @@ class SymbolTable:
     _POOL_STRIDE = 1 << 42
     _GAP = 1 << 20
 
-    def __init__(self, fast: bool = True):
+    def __init__(self):
         #: pool -> sorted list of (value, code)
         self._pools: dict[str, list[tuple[str, int]]] = {}
         self._codes: dict[str, dict[str, int]] = {}
@@ -35,20 +35,11 @@ class SymbolTable:
         #: Frozen per-pool candidate universes (see freeze_universes).
         self._universes: dict[str, tuple[int, tuple[int, ...]]] | None = None
         self._universe_fresh = 0
-        #: Hot-path ablation hook (SearchConfig.hot_path): ``fast=False``
-        #: recomputes bands and re-sorts known codes per call, as the
-        #: seed implementation did.  Codes are identical either way.
-        self._fast = fast
         #: True while the interning dicts are shared with another table
         #: (copy-on-write); any mutation materialises private copies.
         self._shared = False
 
     def _band(self, pool: str) -> int:
-        if not self._fast:
-            if pool not in self._pools:
-                self._pools[pool] = []
-                self._codes[pool] = {}
-            return (list(self._pools).index(pool) + 1) * self._POOL_STRIDE
         band = self._bands.get(pool)
         if band is None:
             if self._shared:
@@ -67,34 +58,22 @@ class SymbolTable:
         order, so a warm table is copied instead of re-interned (codes
         are identical by construction).
 
-        In fast mode the copy is copy-on-write: the interning dicts are
-        shared until either table interns something new (most solves
-        only look up values that are already present), at which point the
-        mutating side takes private copies.  Non-fast mode copies
-        eagerly, as the seed implementation did.
+        The copy is copy-on-write: the interning dicts are shared until
+        either table interns something new (most solves only look up
+        values that are already present), at which point the mutating
+        side takes private copies.
         """
         clone = SymbolTable.__new__(SymbolTable)
-        if self._fast:
-            self._shared = True
-            clone._pools = self._pools
-            clone._codes = self._codes
-            clone._reverse = self._reverse
-            clone._shared = True
-        else:
-            clone._pools = {
-                pool: list(entries) for pool, entries in self._pools.items()
-            }
-            clone._codes = {
-                pool: dict(codes) for pool, codes in self._codes.items()
-            }
-            clone._reverse = dict(self._reverse)
-            clone._shared = False
+        self._shared = True
+        clone._pools = self._pools
+        clone._codes = self._codes
+        clone._reverse = self._reverse
+        clone._shared = True
         clone._fresh_counts = dict(self._fresh_counts)
         clone._bands = dict(self._bands)
         # Frozen universes are immutable once computed; share them.
         clone._universes = self._universes
         clone._universe_fresh = self._universe_fresh
-        clone._fast = self._fast
         return clone
 
     def _materialize(self) -> None:
@@ -144,8 +123,6 @@ class SymbolTable:
 
     def known_codes(self, pool: str) -> list[int]:
         self._band(pool)
-        if not self._fast:
-            return sorted(code for _, code in self._pools[pool])
         # Rank-preserving interning: entries are sorted by value, and code
         # order equals value order, so the codes are already sorted.
         return [code for _, code in self._pools[pool]]

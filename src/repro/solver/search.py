@@ -16,9 +16,8 @@ reproducing, qualitatively, the slow quantified path the paper measured.
 from __future__ import annotations
 
 import time
-import warnings
 from collections import deque
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 
 from repro.errors import SolverError, SolverLimitError
 from repro.solver.model import Model, SymbolTable
@@ -54,48 +53,14 @@ class SearchConfig:
     #: mode's analogue of seeing through quantifiers; the lazy quantifier
     #: mode runs with this off (with a fallback on node-limit overrun).
     enable_suggestions: bool = True
-    #: Hot-path ablation switch: satisfied-constraint marks during search
-    #: and the precomputed rep->members index.  Off reproduces the seed
-    #: implementation's re-evaluation behaviour (benchmarks only; results
-    #: are identical either way).
-    hot_path: bool = True
-    #: Delta-solve ablation switch (DESIGN.md §5j): solve each kill
+    #: Delta-solve switch (DESIGN.md §5j): solve each kill
     #: group's constraints as an incremental delta over the compiled
     #: query skeleton (shared PK/FK/domain system preprocessed once per
     #: query shape) instead of compiling the full system from scratch.
     #: Results are byte-identical either way; off forces the
-    #: full-compile path (``--no-delta-solve`` on the CLI).
+    #: full-compile path (``--no-delta-solve`` on the CLI) and serves
+    #: as the differential reference for delta solving.
     delta_solve: bool = True
-    #: Deprecated spelling of :attr:`solve_deadline_s` (the pre-§5e
-    #: name).  Accepted as a constructor keyword only; warns.
-    deadline_s: InitVar[float | None] = None
-
-    def __post_init__(self, deadline_s: float | None) -> None:
-        # Apply only when solve_deadline_s was not itself set: replace()
-        # round-trips the alias property, and the re-passed old value
-        # must not clobber a new solve_deadline_s in the same call.
-        if deadline_s is not None and self.solve_deadline_s is None:
-            warnings.warn(
-                "SearchConfig(deadline_s=...) is deprecated; use "
-                "solve_deadline_s",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            self.solve_deadline_s = deadline_s
-
-
-def _deadline_s_alias(self) -> float | None:
-    warnings.warn(
-        "SearchConfig.deadline_s is deprecated; read solve_deadline_s",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return self.solve_deadline_s
-
-
-# Assigned after the decorator ran so the dataclass machinery sees only
-# the InitVar, not the property, as the ``deadline_s`` class attribute.
-SearchConfig.deadline_s = property(_deadline_s_alias)
 
 
 #: How often (in explored nodes) the search consults the wall clock when
@@ -117,7 +82,7 @@ class SearchOutcome:
     preprocess_elapsed: float = 0.0
     search_elapsed: float = 0.0
     #: Domain-aggregate memo traffic during domain construction: formulas
-    #: whose ``_domagg`` was reused vs. built (see SearchConfig.hot_path).
+    #: whose ``_domagg`` was reused vs. built.
     cache_hits: int = 0
     cache_misses: int = 0
 
@@ -219,6 +184,8 @@ class GroundSearch:
         self._constraints: list[Formula] = []
         self._unsat = False
         self._members: dict[str, list[VarInfo]] | None = None
+        #: Variables whose atoms change under rewriting; set once unit
+        #: propagation has finished, before the first rewrite.
         self._touched: set[str] | None = None
         self._deadline: float | None = None
         #: Roots that took part in a union during *this* solve's unit
@@ -326,15 +293,14 @@ class GroundSearch:
     def _rewrite_linear(self, lin: Linear) -> Linear:
         find = self._uf.find
         fixed = self._fixed
-        if self._config.hot_path:
-            # Identity fast path: most linears mention no merged or fixed
-            # variable, so the rebuild below would allocate an equal copy.
-            for name, _ in lin.coeffs:
-                rep = find(name)
-                if rep != name or rep in fixed:
-                    break
-            else:
-                return lin
+        # Identity fast path: most linears mention no merged or fixed
+        # variable, so the rebuild below would allocate an equal copy.
+        for name, _ in lin.coeffs:
+            rep = find(name)
+            if rep != name or rep in fixed:
+                break
+        else:
+            return lin
         coeffs: dict[str, int] = {}
         constant = lin.const
         for name, coef in lin.coeffs:
@@ -351,7 +317,7 @@ class GroundSearch:
         A variable is touched when union-find maps it to a different
         representative or its representative has a fixed value; formulas
         mentioning no touched variable rewrite to themselves and are
-        returned as-is (hot path), which also preserves their per-node
+        returned as-is, which also preserves their per-node
         memos across solves that share formula objects.
         """
         touched = set(self._fixed)
@@ -362,9 +328,8 @@ class GroundSearch:
         return touched
 
     def _rewrite_formula(self, formula: Formula) -> Formula:
-        if self._config.hot_path and self._touched is not None:
-            if not (formula_variables(formula) & self._touched):
-                return formula
+        if not (formula_variables(formula) & self._touched):
+            return formula
         if isinstance(formula, Atom):
             lin = self._rewrite_linear(formula.lin)
             atom = Atom(formula.op, lin)
@@ -462,7 +427,7 @@ class GroundSearch:
             return ("off", abs(atom.lin.const))
         return ("none", None)
 
-    def _domagg_of(self, formula: Formula, memo: bool):
+    def _domagg_of(self, formula: Formula):
         """Domain-aggregate of one formula: ``(ints, offsets, strs)``.
 
         A formula's domain contribution is a pure function of its
@@ -470,7 +435,7 @@ class GroundSearch:
         across the sibling solves that share the formula object —
         aggregated once per node and memoized like _fv/_atoms.
         """
-        agg = formula.__dict__.get("_domagg") if memo else None
+        agg = formula.__dict__.get("_domagg")
         if agg is not None:
             self._cache_hits += 1
             return agg
@@ -478,12 +443,11 @@ class GroundSearch:
         ints: set[int] = set()
         offs: set[int] = set()
         strs: list[tuple[str, int]] = []
-        for atom in _formula_atoms(formula, cache=memo):
-            hint = atom.__dict__.get("_domhint") if memo else None
+        for atom in _formula_atoms(formula):
+            hint = atom.__dict__.get("_domhint")
             if hint is None:
                 hint = self._domain_hint(atom)
-                if memo:
-                    object.__setattr__(atom, "_domhint", hint)
+                object.__setattr__(atom, "_domhint", hint)
             tag, data = hint
             if tag == "str":
                 strs.append(data)
@@ -492,15 +456,14 @@ class GroundSearch:
             elif tag == "off":
                 offs.add(data)
         agg = (ints, offs, strs)
-        if memo:
-            object.__setattr__(formula, "_domagg", agg)
+        object.__setattr__(formula, "_domagg", agg)
         return agg
 
     def _build_domains(
         self,
         reps: list[str],
         constraints: list[Formula],
-        free_reps: set[str] | None = None,
+        free_reps: set[str],
         base_agg=None,
         skip: int = 0,
         pref=None,
@@ -521,7 +484,6 @@ class GroundSearch:
         # Collect integer constants relevant to each universe.
         int_candidates: set[int] = {0, 1, 2}
         offsets: set[int] = set()
-        memo = config.hot_path
         if base_agg is not None:
             int_candidates.update(base_agg[0])
             offsets.update(base_agg[1])
@@ -531,7 +493,7 @@ class GroundSearch:
             for pool, code in base_agg[2]:
                 self._add_string_witnesses(pool, code)
         for formula in constraints[skip:] + list(self._residual_units):
-            agg = self._domagg_of(formula, memo)
+            agg = self._domagg_of(formula)
             int_candidates.update(agg[0])
             offsets.update(agg[1])
             for pool, code in agg[2]:
@@ -575,10 +537,8 @@ class GroundSearch:
             key = None if kind == "int" else pool
             cached = universe_cache.get(key)
             if cached is None:
-                frozen = (
-                    self._symbols.frozen_universe(pool, config.fresh_str_values)
-                    if memo
-                    else None
+                frozen = self._symbols.frozen_universe(
+                    pool, config.fresh_str_values
                 )
                 if frozen is not None:
                     candidates = list(frozen)
@@ -591,9 +551,7 @@ class GroundSearch:
                 universe_cache[key] = cached
             candidates, candidate_set = cached
             dkey = None
-            if dom_cache is not None and (
-                pref_skip is None or rep not in pref_skip
-            ):
+            if dom_cache is not None and rep not in pref_skip:
                 # Unmerged base class: its domain is a pure function of
                 # the rep (kind, pool, member order) and the candidate
                 # content; candidate order is deterministic from the
@@ -601,17 +559,12 @@ class GroundSearch:
                 fp = cand_fp.get(key)
                 if fp is None:
                     fp = cand_fp[key] = frozenset(candidates)
-                dkey = (
-                    rep,
-                    free_reps is not None and rep in free_reps,
-                    fp,
-                    max_size,
-                )
+                dkey = (rep, rep in free_reps, fp, max_size)
                 got = dom_cache.get(dkey)
                 if got is not None:
                     domains[rep] = got
                     continue
-            if free_reps is not None and rep in free_reps:
+            if rep in free_reps:
                 # Unconstrained: the search only ever takes the first
                 # ordered value, so the rest of the domain is not built.
                 first = None
@@ -654,14 +607,9 @@ class GroundSearch:
         return domains
 
     def _member_infos(self, rep: str):
-        if not self._config.hot_path:
-            find = self._uf.find
-            return [
-                info for name, info in self._infos.items() if find(name) == rep
-            ]
         # Precomputed rep -> members index (the union-find is stable once
-        # unit propagation finishes, which is before any caller runs).
-        # Insertion order matches the declaration-order scan above.
+        # unit propagation finishes, which is before any caller runs),
+        # in declaration order.
         if self._members is None:
             members: dict[str, list[VarInfo]] = {}
             for name, info in self._infos.items():
@@ -687,9 +635,6 @@ class GroundSearch:
                 cache_misses=self._cache_misses, **kw
             )
 
-        # Hot-path ablation: with the flag off, variable sets are
-        # recomputed per query as the seed implementation did.
-        memo = self._config.hot_path
         base = self._base
 
         if base is not None and base.unsat:
@@ -710,17 +655,15 @@ class GroundSearch:
         self._propagate_units()
         if self._unsat:
             return preprocess_only()
-        if memo:
-            if base is not None:
-                # The base scan is precompiled; extend it with this
-                # delta's merges and fixes instead of re-deriving.
-                touched = set(base.touched)
-                touched.update(self._fixed)
-                touched.update(self._dirty)
-                self._touched = touched
-            else:
-                self._touched = self._touched_vars()
-        if base is not None and memo:
+        if base is None:
+            self._touched = self._touched_vars()
+        else:
+            # The base scan is precompiled; extend it with this delta's
+            # merges and fixes instead of re-deriving.
+            touched = set(base.touched)
+            touched.update(self._fixed)
+            touched.update(self._dirty)
+            self._touched = touched
             # Copy-on-write members index: only the partitions touched
             # by this delta's unions are re-merged (in declaration
             # order, matching a from-scratch scan); every other class
@@ -750,7 +693,7 @@ class GroundSearch:
             watch scheme below, so they are decided now; ``False``
             means the problem is UNSAT.
             """
-            if not formula_variables(rewritten, cache=memo):
+            if not formula_variables(rewritten):
                 return eval_formula(rewritten, {}) is True
             constraints.append(rewritten)
             return True
@@ -761,76 +704,46 @@ class GroundSearch:
         # (watch lists, variable sets, domain aggregate) apply as-is.
         fast = False
         if base is not None:
-            rewrite_cache = base.rewrite_cache
-            affected: set[int] | None = None
-            if memo and base.var_index is not None:
-                # The variables of a base-rewritten shared formula are
-                # base representatives; a delta changes the rewrite of
-                # such a formula only by merging or fixing one of those
-                # classes, and every such class root lands in _dirty or
-                # in the newly fixed keys.  The skeleton's inverted
-                # index turns that observation into an exact list of
-                # the shared formulas needing a re-rewrite.
-                changed = set(self._dirty)
-                base_fixed = base.fixed
-                for name in self._fixed:
-                    if name not in base_fixed:
-                        changed.add(name)
-                affected = set()
-                var_index = base.var_index
-                for name in changed:
-                    hits = var_index.get(name)
-                    if hits:
-                        affected.update(hits)
-            if affected is not None:
-                rest_t = base.rest
-                if affected:
-                    previous = 0
-                    for index in sorted(affected):
-                        constraints.extend(rest_t[previous:index])
-                        formula = rest_t[index]
-                        key = (index, self._delta_state_key(formula))
-                        rewritten = rewrite_cache.get(key)
-                        if rewritten is None:
-                            rewritten = self._rewrite_formula(formula)
-                            rewrite_cache[key] = rewritten
-                            base.rewrite_misses += 1
-                        else:
-                            base.rewrite_hits += 1
-                        if not admit(rewritten):
-                            return preprocess_only()
-                        previous = index + 1
-                    constraints.extend(rest_t[previous:])
-                else:
-                    constraints.extend(rest_t)
-                    fast = base.active is not None
-            else:
-                touched = self._touched
-                for index, formula in enumerate(base.rest):
-                    if (
-                        memo
-                        and touched is not None
-                        and not (formula_variables(formula) & touched)
-                    ):
-                        # Base-rewritten and untouched by this delta:
-                        # the skeleton's object (and its node memos)
-                        # is exact.
-                        constraints.append(formula)
-                        continue
-                    rewritten = None
-                    key = None
-                    if memo:
-                        key = (index, self._delta_state_key(formula))
-                        rewritten = rewrite_cache.get(key)
+            # The variables of a base-rewritten shared formula are base
+            # representatives; a delta changes the rewrite of such a
+            # formula only by merging or fixing one of those classes,
+            # and every such class root lands in _dirty or in the newly
+            # fixed keys.  The skeleton's inverted index turns that
+            # observation into an exact list of the shared formulas
+            # needing a re-rewrite.
+            changed = set(self._dirty)
+            base_fixed = base.fixed
+            for name in self._fixed:
+                if name not in base_fixed:
+                    changed.add(name)
+            affected: set[int] = set()
+            var_index = base.var_index
+            for name in changed:
+                hits = var_index.get(name)
+                if hits:
+                    affected.update(hits)
+            rest_t = base.rest
+            if affected:
+                rewrite_cache = base.rewrite_cache
+                previous = 0
+                for index in sorted(affected):
+                    constraints.extend(rest_t[previous:index])
+                    formula = rest_t[index]
+                    key = (index, self._delta_state_key(formula))
+                    rewritten = rewrite_cache.get(key)
                     if rewritten is None:
                         rewritten = self._rewrite_formula(formula)
-                        if key is not None:
-                            rewrite_cache[key] = rewritten
-                            base.rewrite_misses += 1
-                    elif key is not None:
+                        rewrite_cache[key] = rewritten
+                        base.rewrite_misses += 1
+                    else:
                         base.rewrite_hits += 1
                     if not admit(rewritten):
                         return preprocess_only()
+                    previous = index + 1
+                constraints.extend(rest_t[previous:])
+            else:
+                constraints.extend(rest_t)
+                fast = True
         n_base = len(constraints)
         for formula in rest + list(self._residual_units):
             if not admit(self._rewrite_formula(formula)):
@@ -851,7 +764,7 @@ class GroundSearch:
                     reps.add(winner)
             for rep in fixed:
                 reps.discard(rep)
-        elif memo:
+        else:
             # Names the union-find has never seen are their own
             # representative; skipping find() keeps its parent map to the
             # merged variables only (which _touched_vars also iterates).
@@ -862,11 +775,6 @@ class GroundSearch:
                 rep = find(name) if name in parent else name
                 if rep not in fixed:
                     reps.add(rep)
-        else:
-            for name in self._infos:
-                rep = self._uf.find(name)
-                if rep not in self._fixed:
-                    reps.add(rep)
         if fast:
             # The admitted base prefix is base.rest verbatim, so the
             # names it would contribute are the precompiled union.
@@ -875,7 +783,7 @@ class GroundSearch:
         else:
             tail = constraints
         for formula in tail:
-            for name in formula_variables(formula, cache=memo):
+            for name in formula_variables(formula):
                 if name not in self._fixed:
                     reps.add(name)
         rep_list = sorted(reps)
@@ -903,15 +811,12 @@ class GroundSearch:
             single = []
             tail = constraints
         for formula in tail:
-            if memo:
-                # Shared formulas (db constraints) index identically in
-                # every sibling solve; memoize the sorted variable list.
-                variables = formula.__dict__.get("_fvsorted")
-                if variables is None:
-                    variables = sorted(formula_variables(formula))
-                    object.__setattr__(formula, "_fvsorted", variables)
-            else:
-                variables = sorted(formula_variables(formula, cache=False))
+            # Shared formulas (db constraints) index identically in
+            # every sibling solve; memoize the sorted variable list.
+            variables = formula.__dict__.get("_fvsorted")
+            if variables is None:
+                variables = sorted(formula_variables(formula))
+                object.__setattr__(formula, "_fvsorted", variables)
             if len(variables) == 1:
                 # Any single-variable constraint — an atom, or e.g. an
                 # input-database EXISTS disjunction (Section VI-A) — is a
@@ -929,15 +834,13 @@ class GroundSearch:
                     watch[rep] = entry
                 entry.append(index)
 
-        free_reps: set[str] | None = None
-        if memo:
-            # A representative with no watched and no single-variable
-            # constraint only ever takes its first ordered value; its
-            # domain need not be materialised beyond that.
-            free_reps = {rep for rep in rep_list if not watch[rep]}
-            free_reps.difference_update(rep for rep, _ in single)
+        # A representative with no watched and no single-variable
+        # constraint only ever takes its first ordered value; its
+        # domain need not be materialised beyond that.
+        free_reps = {rep for rep in rep_list if not watch[rep]}
+        free_reps.difference_update(rep for rep, _ in single)
         pref = pref_skip = None
-        if base is not None and memo and base.pref is not None:
+        if base is not None:
             pref = base.pref
             # Classes this delta merged aggregate preferred values from
             # several base classes; they fall back to the member scan.
@@ -950,7 +853,7 @@ class GroundSearch:
             skip=n_base if fast else 0,
             pref=pref,
             pref_skip=pref_skip,
-            dom_cache=base.domain_cache if pref is not None else None,
+            dom_cache=base.domain_cache if base is not None else None,
         )
 
         for rep, formula in single:
@@ -971,7 +874,7 @@ class GroundSearch:
         constrained = [rep for rep in rep_list if watch[rep]]
         free = [rep for rep in rep_list if not watch[rep]]
         constrained.sort(key=lambda r: (len(domains[r]), -len(watch[r]), r))
-        order = _connected_order_of(constrained, active, watch, memo) + free
+        order = _connected_order_of(constrained, active, watch) + free
 
         assignment: dict[str, int] = {}
         nodes = 0
@@ -1020,13 +923,10 @@ class GroundSearch:
             avoided: list[int] = []
             atoms: list[Atom] = []
             for index in watch[rep]:
-                if use_marks:
-                    # Monotone Kleene evaluation: once a constraint is
-                    # True under a partial assignment it stays True, so
-                    # the per-depth mark replaces re-evaluating it here.
-                    if sat_depth[index] >= 0:
-                        continue
-                elif eval_formula(active[index], assignment) is True:
+                # Monotone Kleene evaluation: once a constraint is True
+                # under a partial assignment it stays True, so the
+                # per-depth mark replaces re-evaluating it here.
+                if sat_depth[index] >= 0:
                     continue
                 harvest(active[index], rep, atoms)
             for atom in atoms:
@@ -1076,18 +976,15 @@ class GroundSearch:
         if fast:
             constraint_vars = list(base.cvars)
             constraint_vars += [
-                frozenset(formula_variables(f, cache=memo))
+                frozenset(formula_variables(f))
                 for f in active[len(base.cvars):]
             ]
         else:
-            constraint_vars = [
-                frozenset(formula_variables(f, cache=memo)) for f in active
-            ]
+            constraint_vars = [frozenset(formula_variables(f)) for f in active]
         #: Depth at which each active constraint was proven True under the
         #: partial assignment (-1 = not yet).  Kleene evaluation is
         #: monotone, so a constraint marked at depth d needs no
         #: re-evaluation at any depth > d; marks are undone on backtrack.
-        use_marks = self._config.hot_path
         sat_depth = [-1] * len(active)
 
         def backtrack(position: int):
@@ -1106,13 +1003,10 @@ class GroundSearch:
                 return True
             rep = order[position]
             conflict: set[str] = set()
-            if use_marks:
-                # Constraints already satisfied at a shallower depth can
-                # never fail below it; evaluate only the still-open ones
-                # for every candidate value of this class.
-                pending = [i for i in watch[rep] if sat_depth[i] < 0]
-            else:
-                pending = watch[rep]
+            # Constraints already satisfied at a shallower depth can
+            # never fail below it; evaluate only the still-open ones for
+            # every candidate value of this class.
+            pending = [i for i in watch[rep] if sat_depth[i] < 0]
             for value in ordered_values(rep):
                 nodes += 1
                 if nodes > limit:
@@ -1141,7 +1035,7 @@ class GroundSearch:
                     if outcome is False:
                         failed_index = index
                         break
-                    if use_marks and outcome is True:
+                    if outcome is True:
                         sat_depth[index] = position
                         marked.append(index)
                 if failed_index >= 0:
@@ -1206,14 +1100,11 @@ def _connected_order_of(
     seeds: list[str],
     active: list[Formula],
     watch: dict[str, list[int]],
-    memo: bool = True,
 ) -> list[str]:
     """Greedy constraint-graph traversal starting from the hardest seed."""
     if not seeds:
         return []
-    constraint_vars = [
-        sorted(formula_variables(f, cache=memo)) for f in active
-    ]
+    constraint_vars = [sorted(formula_variables(f)) for f in active]
     order: list[str] = []
     placed: set[str] = set()
     pending = list(seeds)
@@ -1236,11 +1127,10 @@ def _connected_order_of(
     return order
 
 
-def _formula_atoms(formula: Formula, cache: bool = False) -> list[Atom]:
-    if cache:
-        cached = formula.__dict__.get("_atoms")
-        if cached is not None:
-            return cached
+def _formula_atoms(formula: Formula) -> list[Atom]:
+    cached = formula.__dict__.get("_atoms")
+    if cached is not None:
+        return cached
     out: list[Atom] = []
     stack = [formula]
     while stack:
@@ -1253,8 +1143,7 @@ def _formula_atoms(formula: Formula, cache: bool = False) -> list[Atom]:
             stack.append(node.part)
         elif isinstance(node, Quantified):
             stack.extend(node.instances)
-    if cache:
-        # Formula nodes are frozen dataclasses; the memo rides alongside
-        # the _fv cache and is invisible to __eq__/__hash__.
-        object.__setattr__(formula, "_atoms", out)
+    # Formula nodes are frozen dataclasses; the memo rides alongside the
+    # _fv cache and is invisible to __eq__/__hash__.
+    object.__setattr__(formula, "_atoms", out)
     return out

@@ -89,29 +89,28 @@ class CompiledSkeleton:
     #: Inverted index: variable name -> indices into ``rest`` of the
     #: shared formulas mentioning it.  A delta solve intersects this
     #: with its changed classes to find the exact set of shared
-    #: formulas needing a re-rewrite (usually none).  None when the
-    #: hot-path memo layer is ablated.
-    var_index: dict[str, tuple[int, ...]] | None = None
+    #: formulas needing a re-rewrite (usually none).
+    var_index: dict[str, tuple[int, ...]]
     #: Union of every variable name appearing in ``rest``.
-    var_names: frozenset[str] = frozenset()
+    var_names: frozenset[str]
     #: Precompiled split of ``rest`` into multi-variable constraints
     #: (``active``, in order) and single-variable domain restrictions
     #: (``single`` as (var, formula) pairs), with ``cvars`` the
     #: per-active-formula variable frozensets and ``name_watch`` the
     #: name -> active-indices watch lists.  Applied verbatim by delta
     #: solves whose changed classes touch no shared formula.
-    active: tuple[Formula, ...] | None = None
-    single: tuple[tuple[str, Formula], ...] = ()
-    cvars: tuple[frozenset, ...] = ()
-    name_watch: dict[str, tuple[int, ...]] | None = None
+    active: tuple[Formula, ...]
+    single: tuple[tuple[str, Formula], ...]
+    cvars: tuple[frozenset, ...]
+    name_watch: dict[str, tuple[int, ...]]
     #: Domain-aggregate union over ``rest``: (int constants, offsets,
     #: string witnesses in formula order).  Seeds _build_domains on the
     #: fast path instead of a per-formula memo scan.
-    agg: tuple | None = None
+    agg: tuple
     #: Base representative -> sorted union of the preferred values of
     #: its int-kind members (str-kind classes map to ()).  Valid for
     #: every class a delta leaves unmerged.
-    pref: dict[str, tuple[int, ...]] | None = None
+    pref: dict[str, tuple[int, ...]]
     #: Wall-clock seconds spent compiling this skeleton (reported once
     #: per query shape, not once per group member).
     compile_time: float = 0.0
@@ -139,15 +138,13 @@ def compile_skeleton(
 
     ``formulas`` is the spec-independent suffix of a solve's input (the
     database constraints); ``infos`` the declared variables of the
-    tuple-space shape the skeleton is keyed by.  ``config`` is a
-    :class:`~repro.solver.search.SearchConfig`; only its ``hot_path``
-    flag matters here (memoization on shared formula nodes).
+    tuple-space shape the skeleton is keyed by.  ``config`` is the
+    :class:`~repro.solver.search.SearchConfig` of the sibling solves.
     """
     from repro.solver.search import GroundSearch, eval_formula
 
     start = time.perf_counter()
-    memo = config.hot_path
-    unfolded = [unfold_formula(f, cache=memo) for f in formulas]
+    unfolded = [unfold_formula(f) for f in formulas]
     # Symbols are never consulted during preprocessing (only domain
     # construction needs them), so the compile search gets none.
     search = GroundSearch(unfolded, infos, None, config)
@@ -156,16 +153,17 @@ def compile_skeleton(
     unsat = search._unsat
     rest: list[Formula] = []
     if not unsat:
-        if memo:
-            search._touched = search._touched_vars()
+        search._touched = search._touched_vars()
         for formula in rest_raw:
             rewritten = search._rewrite_formula(formula)
-            if not formula_variables(rewritten, cache=memo):
+            if not formula_variables(rewritten):
                 if eval_formula(rewritten, {}) is not True:
                     unsat = True
                     break
                 continue
             rest.append(rewritten)
+    if unsat:
+        rest = []
 
     find = search._uf.find
     raw_parent = search._uf._parent
@@ -182,79 +180,67 @@ def compile_skeleton(
     members = {rep: tuple(mem) for rep, mem in grouped.items()}
     reps = frozenset(rep for rep in members if rep not in fixed)
 
-    var_index = None
-    var_names: frozenset[str] = frozenset()
-    active = None
+    # Precompile everything a delta solve would otherwise derive per
+    # sibling from the shared prefix: the inverted variable->formula
+    # index, the active/single split with its watch lists and variable
+    # sets, the domain-aggregate union, and the per-class
+    # preferred-value unions.  All are exact for any delta whose changed
+    # classes avoid the indexed names; the delta path re-rewrites the
+    # shared formulas those classes reach.
+    raw_index: dict[str, list[int]] = {}
+    raw_watch: dict[str, list[int]] = {}
+    active: list[Formula] = []
     single: list[tuple[str, Formula]] = []
     cvars: list[frozenset] = []
-    name_watch = None
-    agg = None
-    pref = None
-    if memo and not unsat:
-        # Precompile everything a delta solve would otherwise derive
-        # per sibling from the shared prefix: the inverted
-        # variable->formula index, the active/single split with its
-        # watch lists and variable sets, the domain-aggregate union,
-        # and the per-class preferred-value unions.  All are exact for
-        # any delta whose changed classes avoid the indexed names; the
-        # delta path falls back to per-formula work for the rest.
-        raw_index: dict[str, list[int]] = {}
-        raw_watch: dict[str, list[int]] = {}
-        active_list: list[Formula] = []
-        agg_ints: set[int] = set()
-        agg_offs: set[int] = set()
-        agg_strs: list[tuple[str, int]] = []
-        for index, formula in enumerate(rest):
-            variables = formula.__dict__.get("_fvsorted")
-            if variables is None:
-                variables = sorted(formula_variables(formula, cache=True))
-                object.__setattr__(formula, "_fvsorted", variables)
-            for name in variables:
-                raw_index.setdefault(name, []).append(index)
-            ints, offs, strs = search._domagg_of(formula, True)
-            agg_ints.update(ints)
-            agg_offs.update(offs)
-            agg_strs.extend(strs)
-            if len(variables) == 1:
-                single.append((variables[0], formula))
-                continue
-            position = len(active_list)
-            active_list.append(formula)
-            cvars.append(frozenset(variables))
-            for name in variables:
-                raw_watch.setdefault(name, []).append(position)
-        var_index = {name: tuple(idx) for name, idx in raw_index.items()}
-        var_names = frozenset(raw_index)
-        active = tuple(active_list)
-        name_watch = {name: tuple(idx) for name, idx in raw_watch.items()}
-        agg = (frozenset(agg_ints), frozenset(agg_offs), tuple(agg_strs))
-        pref = {}
-        for rep, mem in members.items():
-            if infos[rep].kind != "int":
-                pref[rep] = ()
-                continue
-            union: set[int] = set()
-            for info in mem:
-                union.update(info.preferred)
-            pref[rep] = tuple(sorted(union))
+    agg_ints: set[int] = set()
+    agg_offs: set[int] = set()
+    agg_strs: list[tuple[str, int]] = []
+    for index, formula in enumerate(rest):
+        variables = formula.__dict__.get("_fvsorted")
+        if variables is None:
+            variables = sorted(formula_variables(formula))
+            object.__setattr__(formula, "_fvsorted", variables)
+        for name in variables:
+            raw_index.setdefault(name, []).append(index)
+        ints, offs, strs = search._domagg_of(formula)
+        agg_ints.update(ints)
+        agg_offs.update(offs)
+        agg_strs.extend(strs)
+        if len(variables) == 1:
+            single.append((variables[0], formula))
+            continue
+        position = len(active)
+        active.append(formula)
+        cvars.append(frozenset(variables))
+        for name in variables:
+            raw_watch.setdefault(name, []).append(position)
+    pref = {}
+    for rep, mem in members.items():
+        if infos[rep].kind != "int":
+            pref[rep] = ()
+            continue
+        union: set[int] = set()
+        for info in mem:
+            union.update(info.preferred)
+        pref[rep] = tuple(sorted(union))
 
     return CompiledSkeleton(
         parent=parent,
         fixed=fixed,
         residual=tuple(search._residual_units) if not unsat else (),
-        rest=tuple(rest) if not unsat else (),
+        rest=tuple(rest),
         unsat=unsat,
         touched=frozenset(search._touched_vars()),
         members=members,
         decl_index=decl_index,
         reps=reps,
-        var_index=var_index,
-        var_names=var_names,
-        active=active,
+        var_index={name: tuple(idx) for name, idx in raw_index.items()},
+        var_names=frozenset(raw_index),
+        active=tuple(active),
         single=tuple(single),
         cvars=tuple(cvars),
-        name_watch=name_watch,
-        agg=agg,
+        name_watch={name: tuple(idx) for name, idx in raw_watch.items()},
+        agg=(frozenset(agg_ints), frozenset(agg_offs), tuple(agg_strs)),
         pref=pref,
         compile_time=time.perf_counter() - start,
     )

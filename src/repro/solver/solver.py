@@ -63,37 +63,32 @@ class SolveStats:
     skeleton: str | None = None
 
 
-def unfold_formula(formula: Formula, cache: bool = True) -> Formula:
+def unfold_formula(formula: Formula) -> Formula:
     """Recursively expand every bounded quantifier into ground form.
 
-    With ``cache=True`` quantifier-free formulas are returned as-is (they
-    unfold to an equal structure anyway), and the expansion of quantified
-    ones is memoized on the node — formulas shared across solver
-    instances, like the cached database-constraint sets, unfold once
-    instead of once per solve.  ``cache=False`` rebuilds the full tree
-    every call (hot-path ablation; see SearchConfig.hot_path).
+    Quantifier-free formulas are returned as-is (they unfold to an equal
+    structure anyway), and the expansion of quantified ones is memoized
+    on the node — formulas shared across solver instances, like the
+    cached database-constraint sets, unfold once instead of once per
+    solve.
     """
-    if cache:
-        if not _contains_quantifier(formula):
-            return formula
-        cached = formula.__dict__.get("_unfolded")
-        if cached is not None:
-            return cached
+    if not _contains_quantifier(formula):
+        return formula
+    cached = formula.__dict__.get("_unfolded")
+    if cached is not None:
+        return cached
     if isinstance(formula, Quantified):
-        expanded = tuple(unfold_formula(p, cache) for p in formula.instances)
+        expanded = tuple(unfold_formula(p) for p in formula.instances)
         result: Formula = (
             Conj(expanded) if formula.kind == "forall" else Disj(expanded)
         )
     elif isinstance(formula, Conj):
-        result = Conj(tuple(unfold_formula(p, cache) for p in formula.parts))
+        result = Conj(tuple(unfold_formula(p) for p in formula.parts))
     elif isinstance(formula, Disj):
-        result = Disj(tuple(unfold_formula(p, cache) for p in formula.parts))
-    elif isinstance(formula, Neg):
-        result = Neg(unfold_formula(formula.part, cache))
-    else:  # Atom / BoolConst — nothing to expand.
-        return formula
-    if cache:
-        object.__setattr__(formula, "_unfolded", result)
+        result = Disj(tuple(unfold_formula(p) for p in formula.parts))
+    else:  # Neg
+        result = Neg(unfold_formula(formula.part))
+    object.__setattr__(formula, "_unfolded", result)
     return result
 
 
@@ -162,7 +157,7 @@ class Solver:
 
     def __init__(self, config: SearchConfig | None = None):
         self.config = config or SearchConfig()
-        self.symbols = SymbolTable(fast=self.config.hot_path)
+        self.symbols = SymbolTable()
         self._infos: dict[str, VarInfo] = {}
         self._infos_shared = False
         self._formulas: list[Formula] = []
@@ -290,13 +285,10 @@ class Solver:
 
     def _solve(self, unfold: bool, base=None) -> Model | None:
         if unfold:
-            memo = self.config.hot_path
-            formulas = [unfold_formula(f, cache=memo) for f in self._formulas]
-            # GroundSearch never mutates the info dict; the defensive
-            # copy is only kept on the ablation path (seed behaviour).
-            infos = self._infos if memo else dict(self._infos)
+            formulas = [unfold_formula(f) for f in self._formulas]
+            # GroundSearch never mutates the info dict.
             outcome = GroundSearch(
-                formulas, infos, self.symbols, self.config, base=base
+                formulas, self._infos, self.symbols, self.config, base=base
             ).run()
             self.last_stats = SolveStats(
                 satisfiable=outcome.model is not None,

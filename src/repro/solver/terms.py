@@ -246,22 +246,14 @@ def _collect_variables(formula: Formula) -> frozenset[str]:
 
 
 def formula_variables(
-    formula: Formula, into: set[str] | None = None, cache: bool = True
+    formula: Formula, into: set[str] | None = None
 ) -> frozenset[str] | set[str]:
     """All variable names occurring in ``formula``.
 
     The result is memoized on the formula node (formulas are immutable),
     so the search core's repeated variable-set queries over the same
     constraint objects cost one traversal total, not one per query.
-    ``cache=False`` recomputes from scratch (hot-path ablation; see
-    SearchConfig.hot_path).
     """
-    if not cache:
-        out = _collect_variables(formula)
-        if into is None:
-            return set(out)
-        into.update(out)
-        return into
     cached = formula.__dict__.get("_fv")
     if cached is None:
         cached = _collect_variables(formula)

@@ -12,9 +12,9 @@ fingerprint-sorted order against a shared
 :class:`~repro.engine.subplan.SubplanCache`, so every subtree unchanged
 from the original — and every subtree shared between sibling mutants —
 is computed once per dataset instead of once per mutant.
-:class:`KillCheckConfig` carries the ablation switches; verdicts are
-byte-identical with every switch off (the seed's re-execute-everything
-path, kept for benchmarks and equivalence tests).
+:class:`KillCheckConfig` carries the one reference switch: with the
+subplan cache off every tree re-executes from scratch, the oracle the
+equivalence tests hold the cached verdicts to.
 """
 
 from __future__ import annotations
@@ -98,27 +98,21 @@ def raw_signature(relation: Relation) -> tuple[tuple[str, ...], Counter]:
 
 
 def differs_from_signature(
-    relation: Relation,
-    signature,
-    rowcount: int,
-    short_circuit: bool = True,
-    raw=None,
+    relation: Relation, signature, rowcount: int, raw
 ) -> bool:
     """Does ``relation`` differ from a precomputed original signature?
 
-    With ``short_circuit`` on, a row-count mismatch decides immediately
-    — bags of different cardinality can never be equal — and, when the
-    original's :func:`raw_signature` is supplied, a raw-bag match
-    decides "not killed" without canonicalising anything.  Only results
-    that match on count but differ raw pay the full
-    12-significant-digit canonicalisation.  Verdicts are identical
-    either way.
+    A row-count mismatch decides immediately — bags of different
+    cardinality can never be equal — and a match against the original's
+    :func:`raw_signature` decides "not killed" without canonicalising
+    anything.  Only results that match on count but differ raw pay the
+    full 12-significant-digit canonicalisation.  The verdict always
+    equals ``result_signature(relation) != signature``.
     """
-    if short_circuit:
-        if len(relation.rows) != rowcount:
-            return True
-        if raw is not None and raw_signature(relation) == raw:
-            return False
+    if len(relation.rows) != rowcount:
+        return True
+    if raw_signature(relation) == raw:
+        return False
     return result_signature(relation) != signature
 
 
@@ -126,29 +120,20 @@ def differs_from_signature(
 class KillCheckConfig:
     """Kill-check evaluation switches (``SearchConfig`` conventions).
 
-    Every switch preserves verdicts; they exist as ablation levers for
-    :mod:`benchmarks.bench_killcheck` and the equivalence tests.
-
     Attributes:
         subplan_cache: Memoize subplan results per (fingerprint,
-            dataset) across the mutant batch (the §5g hot path; the CLI
-            spells the ablation ``--no-subplan-cache``).
-        fingerprint_sort: Walk each dataset's mutant batch in
-            fingerprint-sorted order so structurally adjacent mutants
-            run back to back and the cache stays warm.
-        short_circuit: Compare row counts before canonicalising full
-            result bags (see :func:`differs_from_signature`).
+            dataset) across the mutant batch (the §5g hot path).  Off
+            re-executes every tree from scratch — the reference the
+            equivalence tests compare against; the CLI spells it
+            ``--no-subplan-cache``.  Verdicts are identical either way.
     """
 
     subplan_cache: bool = True
-    fingerprint_sort: bool = True
-    short_circuit: bool = True
 
     @classmethod
     def uncached(cls) -> "KillCheckConfig":
-        """The seed's behaviour: re-execute every tree from scratch."""
-        return cls(subplan_cache=False, fingerprint_sort=False,
-                   short_circuit=False)
+        """The reference arm: re-execute every tree from scratch."""
+        return cls(subplan_cache=False)
 
 
 @dataclass
@@ -189,7 +174,7 @@ class KillReport:
         return sum(1 for o in self.outcomes if index in o.killed_by)
 
 
-def mutant_order(mutants: list[Mutant], fingerprint_sort: bool = True) -> list[int]:
+def mutant_order(mutants: list[Mutant]) -> list[int]:
     """Indices of ``mutants`` in cache-friendly evaluation order.
 
     Fingerprint-sorted order clusters structurally similar plans —
@@ -198,10 +183,9 @@ def mutant_order(mutants: list[Mutant], fingerprint_sort: bool = True) -> list[i
     returned indices always cover every mutant exactly once; outcome
     lists stay in the original mutant order regardless.
     """
-    order = list(range(len(mutants)))
-    if fingerprint_sort:
-        order.sort(key=lambda i: plan_fingerprint(mutants[i].plan))
-    return order
+    return sorted(
+        range(len(mutants)), key=lambda i: plan_fingerprint(mutants[i].plan)
+    )
 
 
 def evaluate_suite(
@@ -243,17 +227,16 @@ def evaluate_suite(
     plan = original_plan if original_plan is not None else space.original_plan
     mutants = space.mutants
     outcomes = [MutantOutcome(mutant) for mutant in mutants]
-    order = mutant_order(mutants, config.fingerprint_sort)
+    order = mutant_order(mutants)
     cache = SubplanCache() if config.subplan_cache else None
 
     if backend is None and not cross_check:
         # Hot path: no handle indirection, no integrity re-validation.
         plans = [mutant.plan for mutant in mutants]
-        short_circuit = config.short_circuit
         for index, db in enumerate(databases):
             original = execute_plan(plan, db, cache)
             signature = result_signature(original)
-            raw = raw_signature(original) if short_circuit else None
+            raw = raw_signature(original)
             rowcount = len(original.rows)
             for i in order:
                 outcome = outcomes[i]
@@ -273,8 +256,7 @@ def evaluate_suite(
                     differs = memo[1]
                 else:
                     differs = differs_from_signature(
-                        mutant_result, signature, rowcount,
-                        short_circuit, raw,
+                        mutant_result, signature, rowcount, raw
                     )
                     mutant_result._verdict_memo = (original, differs)
                 if differs:
@@ -301,13 +283,10 @@ def evaluate_suite(
                 # Both backends' bags are compared inside the checker,
                 # so the full signature is computed regardless.
                 signature = checker.signature(plan, db, "original query")
-                rowcount = None
             else:
                 original = checker.result(plan, db, "original query")
                 signature = result_signature(original)
-                raw = (
-                    raw_signature(original) if config.short_circuit else None
-                )
+                raw = raw_signature(original)
                 rowcount = len(original.rows)
             for i in order:
                 outcome = outcomes[i]
@@ -322,7 +301,7 @@ def evaluate_suite(
                 else:
                     differs = differs_from_signature(
                         checker.result(mutant.plan, db, context),
-                        signature, rowcount, config.short_circuit, raw,
+                        signature, rowcount, raw,
                     )
                 if differs:
                     outcome.killed_by.append(index)

@@ -153,7 +153,7 @@ def generate_workload(
             (see :func:`repro.testing.killcheck.evaluate_suite`).
         subplan_cache: Share subtree results across the union
             kill-matrix batch (DESIGN.md §5g); ``False`` is the
-            ablation arm (``--no-subplan-cache``) that re-executes
+            reference arm (``--no-subplan-cache``) that re-executes
             every tree from scratch.  The matrix is identical either
             way.
 
@@ -249,8 +249,7 @@ def generate_workload(
         return checker.signature(plan, db, context)
 
     orders = [
-        mutant_order(entry.space.mutants, fingerprint_sort=subplan_cache)
-        if not entry.failed
+        mutant_order(entry.space.mutants) if not entry.failed
         else []
         for entry in entries
     ]

@@ -108,7 +108,7 @@ class TestSolverBudgetStats:
 
     def test_deadline_zero_trips(self):
         solver = self._hard_problem(
-            SearchConfig(deadline_s=0.0, enable_suggestions=False)
+            SearchConfig(solve_deadline_s=0.0, enable_suggestions=False)
         )
         with pytest.raises(SolverLimitError) as excinfo:
             solver.solve()
@@ -117,7 +117,7 @@ class TestSolverBudgetStats:
         assert solver.last_stats.deadline_s == 0.0
 
     def test_clean_solve_records_budgets_untripped(self):
-        solver = Solver(SearchConfig(node_limit=50, deadline_s=60.0))
+        solver = Solver(SearchConfig(node_limit=50, solve_deadline_s=60.0))
         x = solver.int_var("x")
         solver.add(b.eq(x, b.const(7)))
         assert solver.solve() is not None

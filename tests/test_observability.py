@@ -28,6 +28,7 @@ from repro.obs import (
 from repro.obs.trace import NULL_TRACER, walk_spans
 from repro.schema.catalog import Column, Schema, Table
 from repro.schema.types import SqlType
+from repro.solver.search import SearchConfig
 from repro.testing import faults
 from repro.testing.report import format_trace
 
@@ -219,7 +220,9 @@ class TestMetricsReconciliation:
             assert dataset.stats.build_time >= 0.0
 
     def test_delta_off_run_reports_no_skeleton_traffic(self):
-        suite, _ = _generate(metrics=True, delta_solve=False)
+        suite, _ = _generate(
+            metrics=True, solver=SearchConfig(delta_solve=False)
+        )
         assert suite.health.skeleton_cache == {}
         counters = self._counters(suite)
         assert "xdata_skeleton_cache_hits_total" not in counters

@@ -2,11 +2,10 @@
 
 ``repro`` and ``repro.api`` are the documented entry points; these tests
 pin their exact export lists so a refactor cannot silently add, drop or
-rename a public name.  They also pin the deprecation contract: the old
-config keyword spellings (``SearchConfig(deadline_s=...)``,
-``GenConfig(pool_timeout_s=...)``) keep working but warn, and the
-``Budgets`` overlay is the one blessed way to set every deadline at
-once.
+rename a public name.  They also pin the config contract: each knob
+has exactly one spelling (the retired aliases are constructor errors,
+and copying a config never warns), and the ``Budgets`` overlay is the
+one blessed way to set every deadline at once.
 """
 
 from __future__ import annotations
@@ -21,6 +20,7 @@ import repro
 from repro import api
 from repro.core.generator import Budgets, GenConfig
 from repro.solver.search import SearchConfig
+from repro.testing.killcheck import KillCheckConfig
 
 EXPECTED_ALL = sorted(
     [
@@ -152,43 +152,49 @@ class TestFacade:
 
 
 class TestDeprecatedAliases:
-    def test_search_config_deadline_kwarg_warns_and_applies(self):
-        with pytest.warns(DeprecationWarning, match="solve_deadline_s"):
-            config = SearchConfig(deadline_s=1.5)
-        assert config.solve_deadline_s == 1.5
-
-    def test_search_config_deadline_read_warns(self):
-        config = SearchConfig(solve_deadline_s=2.0)
-        with pytest.warns(DeprecationWarning, match="solve_deadline_s"):
-            assert config.deadline_s == 2.0
-
-    def test_gen_config_pool_timeout_kwarg_warns_and_applies(self):
-        with pytest.warns(DeprecationWarning, match="pool_deadline_s"):
-            config = GenConfig(pool_timeout_s=30.0)
-        assert config.pool_deadline_s == 30.0
-
-    def test_gen_config_pool_timeout_read_warns(self):
-        config = GenConfig(pool_deadline_s=45.0)
-        with pytest.warns(DeprecationWarning, match="pool_deadline_s"):
-            assert config.pool_timeout_s == 45.0
-
     def test_new_spellings_do_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             SearchConfig(solve_deadline_s=1.0)
             GenConfig(pool_deadline_s=10.0)
 
-    def test_replace_new_value_wins_over_alias_roundtrip(self):
-        # replace() reads the alias property and re-passes the old
-        # value; it must not clobber the new-name value in `changes`.
-        with pytest.warns(DeprecationWarning):
-            base = SearchConfig(deadline_s=1.5)
-            clone = dataclasses.replace(base, solve_deadline_s=3.0)
-        assert clone.solve_deadline_s == 3.0
-        with pytest.warns(DeprecationWarning):
-            gen_base = GenConfig(pool_timeout_s=30.0)
-            gen_clone = dataclasses.replace(gen_base, pool_deadline_s=60.0)
-        assert gen_clone.pool_deadline_s == 60.0
+    def test_replace_does_not_warn(self):
+        # Copying a config must not trip a warning blamed on the caller
+        # (the core, the service and the lazy solver all copy configs).
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert dataclasses.replace(GenConfig(), workers=2).workers == 2
+            assert (
+                dataclasses.replace(SearchConfig(), node_limit=5).node_limit
+                == 5
+            )
+
+    @pytest.mark.parametrize(
+        "factory, keyword",
+        [(SearchConfig, "deadline_s"), (GenConfig, "delta_solve")],
+    )
+    def test_retired_spellings_are_errors(self, factory, keyword):
+        with pytest.raises(TypeError, match=keyword):
+            factory(**{keyword: 1.0})
+
+    @pytest.mark.parametrize(
+        "factory, names",
+        [
+            (
+                SearchConfig,
+                [
+                    "node_limit", "solve_deadline_s", "fresh_int_values",
+                    "fresh_str_values", "max_domain_size",
+                    "enable_suggestions", "delta_solve",
+                ],
+            ),
+            (KillCheckConfig, ["subplan_cache"]),
+        ],
+    )
+    def test_config_fields_are_locked(self, factory, names):
+        # Beyond tuning knobs, the solver and kill-check configs carry
+        # only their reference arms (full compile, uncached executor).
+        assert [f.name for f in dataclasses.fields(factory)] == names
 
     def test_configs_survive_replace_and_pickle(self):
         config = GenConfig(pool_deadline_s=9.0, spec_deadline_s=3.0)
@@ -201,7 +207,7 @@ class TestDeprecatedAliases:
 
 
 class TestEvalOptions:
-    """The EvalOptions bundle and the legacy-keyword deprecation shim."""
+    """The EvalOptions bundle: the one way to pass evaluation switches."""
 
     def test_evaluate_accepts_options_without_warning(self):
         with warnings.catch_warnings():
@@ -211,31 +217,8 @@ class TestEvalOptions:
             )
         assert scored.total > 0
 
-    @pytest.mark.parametrize(
-        "keyword, value",
-        [
-            ("include_full_outer", True),
-            ("backend", "sqlite"),
-            ("cross_check", True),
-            ("kill_config", None),
-        ],
-    )
-    def test_legacy_keywords_warn_and_apply(self, keyword, value):
-        with pytest.warns(DeprecationWarning, match="EvalOptions"):
-            scored = repro.evaluate(DDL, SQL, **{keyword: value})
-        assert scored.killed == scored.total
-
-    def test_legacy_keyword_result_matches_options_result(self):
-        with pytest.warns(DeprecationWarning):
-            legacy = repro.evaluate(DDL, SQL, include_full_outer=True)
-        modern = repro.evaluate(
-            DDL, SQL, options=repro.EvalOptions(include_full_outer=True)
-        )
-        assert legacy.total == modern.total
-        assert legacy.killed == modern.killed
-
     def test_mixing_options_and_legacy_is_an_error(self):
-        with pytest.raises(TypeError, match="not both"):
+        with pytest.raises(TypeError, match="unexpected keyword"):
             repro.evaluate(
                 DDL, SQL, options=repro.EvalOptions(), cross_check=True
             )
@@ -303,6 +286,22 @@ class TestFingerprint:
             DDL, SQL, GenConfig(trace=True, metrics=True, workers=4)
         )
         assert base != repro.fingerprint(DDL, SQL, GenConfig(unfold=False))
+
+    def test_one_spelling_per_solver_config(self):
+        # The delta-solve reference arm has a single spelling, so equal
+        # solver configs can never fingerprint apart.
+        assert repro.fingerprint(DDL, SQL) == repro.fingerprint(
+            DDL, SQL, GenConfig(solver=SearchConfig(delta_solve=True))
+        )
+        off = repro.fingerprint(
+            DDL, SQL, GenConfig(solver=SearchConfig(delta_solve=False))
+        )
+        replaced = dataclasses.replace(
+            GenConfig(),
+            solver=dataclasses.replace(SearchConfig(), delta_solve=False),
+        )
+        assert off == repro.fingerprint(DDL, SQL, replaced)
+        assert off != repro.fingerprint(DDL, SQL)
 
 
 class TestBudgets:

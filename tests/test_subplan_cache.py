@@ -6,7 +6,9 @@ Three contracts back the batched kill check:
   distinct objects digest identically — and *sensitive* — any
   single-field mutation changes the digest;
 * cached entries never leak across datasets;
-* kill verdicts are byte-identical with the cache on and off.
+* kill verdicts are byte-identical with the cache on and off, and the
+  row-count / raw-bag short cut in front of the canonical comparison
+  never changes a verdict.
 """
 
 from __future__ import annotations
@@ -35,7 +37,13 @@ from repro.sql.ast import (
     SelectItem,
 )
 from repro.sql.parser import parse_query
-from repro.testing.killcheck import KillCheckConfig, evaluate_suite
+from repro.testing.killcheck import (
+    KillCheckConfig,
+    differs_from_signature,
+    evaluate_suite,
+    raw_signature,
+    result_signature,
+)
 from tests.workload import KILLCHECK_CORPUS
 
 
@@ -213,3 +221,45 @@ class TestCachedUncachedEquivalence:
         assert cached.cache_stats is not None
         assert cached.cache_stats["hits"] > 0
         assert uncached.cache_stats is None
+
+
+class TestVerdictShortCut:
+    def test_raw_mismatch_defers_to_canonical_comparison(self):
+        """Equal counts but raw-different bags are decided by the
+        12-digit canonical comparison, in both directions."""
+        from fractions import Fraction
+
+        from repro.engine.relation import Relation
+
+        original = Relation(["avg"], [(Fraction(1, 3),)])
+        signature = result_signature(original)
+        raw = raw_signature(original)
+        within = Relation(["avg"], [(1 / 3,)])
+        beyond = Relation(["avg"], [(0.3334,)])
+        assert raw_signature(within) != raw
+        assert not differs_from_signature(within, signature, 1, raw)
+        assert differs_from_signature(beyond, signature, 1, raw)
+
+    def test_short_cut_matches_full_canonicalisation(self, table12_jobs):
+        """Over every (dataset, mutant) of the Table I/II workload, the
+        count / raw-bag short cut decides exactly what a full
+        12-digit canonical comparison decides."""
+        checked = kills = 0
+        for schema, sql in table12_jobs:
+            suite = XDataGenerator(schema).generate(sql)
+            space = enumerate_mutants(suite.analyzed)
+            for db in suite.databases:
+                cache = SubplanCache()
+                original = execute_plan(space.original_plan, db, cache)
+                signature = result_signature(original)
+                raw = raw_signature(original)
+                rowcount = len(original.rows)
+                for mutant in space.mutants:
+                    result = execute_plan(mutant.plan, db, cache)
+                    expected = result_signature(result) != signature
+                    assert differs_from_signature(
+                        result, signature, rowcount, raw
+                    ) is expected, (sql, mutant.description)
+                    checked += 1
+                    kills += expected
+        assert checked > 1000 and 0 < kills < checked
