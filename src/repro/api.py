@@ -316,6 +316,16 @@ class Session:
 
     def fingerprint(self, query) -> str:
         """The content address of ``query`` under this session's config."""
+        return self._canonical(query)[1]
+
+    def canonical_sql(self, query) -> str:
+        """The canonical SQL text this session would actually solve."""
+        from repro.service.fingerprint import canonical_query
+
+        return canonical_query(query)
+
+    def _canonical(self, query) -> tuple[str, str]:
+        """``(canonical SQL, fingerprint)`` from one canonicalization."""
         from repro.service.fingerprint import (
             canonical_config,
             canonical_query,
@@ -326,15 +336,10 @@ class Session:
         if self._schema_canon is None:
             self._schema_canon = canonical_schema(self.schema)
             self._config_canon = canonical_config(self.config)
-        return fingerprint_parts(
-            self._schema_canon, canonical_query(query), self._config_canon
+        sql = canonical_query(query)
+        return sql, fingerprint_parts(
+            self._schema_canon, sql, self._config_canon
         )
-
-    def canonical_sql(self, query) -> str:
-        """The canonical SQL text this session would actually solve."""
-        from repro.service.fingerprint import canonical_query
-
-        return canonical_query(query)
 
     # -- cached pipeline stages ----------------------------------------
 
@@ -346,10 +351,13 @@ class Session:
         object — which is what lets the service layer promise
         byte-identical responses for equivalent submissions.
         """
-        key = self.fingerprint(query)
+        return self._run(*self._canonical(query))
+
+    def _run(self, canonical_sql: str, key: str) -> Run:
+        """The memoized run of an already-canonicalized query."""
         run = self._runs.get(key)
         if run is None:
-            run = Run(self._generator.generate(self.canonical_sql(query)))
+            run = Run(self._generator.generate(canonical_sql))
             self._runs[key] = run
         return run
 
@@ -361,10 +369,11 @@ class Session:
         re-grading an equivalent submission costs a dict lookup.
         """
         opts = options or self.options
-        key = f"{self.fingerprint(query)}|{opts!r}"
+        sql, digest = self._canonical(query)
+        key = f"{digest}|{opts!r}"
         evaluation = self._evaluations.get(key)
         if evaluation is None:
-            evaluation = _evaluate_run(self.generate(query), opts)
+            evaluation = _evaluate_run(self._run(sql, digest), opts)
             self._evaluations[key] = evaluation
         return evaluation
 

@@ -62,6 +62,7 @@ import dataclasses
 import functools
 import itertools
 import os
+import signal
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -155,7 +156,9 @@ class SupervisedPool:
 
     def _ensure(self) -> ProcessPoolExecutor:
         if self._executor is None:
-            self._executor = ProcessPoolExecutor(max_workers=self.workers)
+            self._executor = ProcessPoolExecutor(
+                max_workers=self.workers, initializer=_supervised_worker_signals
+            )
         return self._executor
 
     def submit(self, fn, *args):
@@ -192,6 +195,20 @@ class SupervisedPool:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+def _supervised_worker_signals() -> None:
+    """Undo the owner's drain handlers in a forked worker.
+
+    The campaign driver installs flag-only SIGINT/SIGTERM handlers before
+    the pool forks.  Inherited, they would make workers ignore SIGTERM,
+    and a worker orphaned by a SIGKILLed driver would outlive a SIGTERM
+    to its process group.  So SIGTERM ends a worker; SIGINT, which a
+    terminal sends to the whole foreground group, is ignored so that
+    Ctrl-C drains the round in the driver instead of killing its workers.
+    """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
 def _warn_degraded(detail: str) -> None:

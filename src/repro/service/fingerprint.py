@@ -36,6 +36,7 @@ byte-identical to sequential) and the observability switches ``trace``,
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 
 from repro.schema.catalog import Schema
@@ -76,6 +77,11 @@ _VERSION = "xdata-fp-v2"
 #: leave generated suites byte-identical (observability attaches
 #: artefacts, never changes datasets; pooled runs merge in spec order).
 _CONFIG_EXCLUDED = frozenset({"trace", "metrics", "journal_path", "workers"})
+
+#: Distinct raw DDL texts whose canonical rendering is memoized.  A
+#: classroom sends one schema text with every submission; parsing it
+#: would be most of the cost of a cache hit.
+_DDL_MEMO_SIZE = 32
 
 
 class _Renamer:
@@ -205,10 +211,12 @@ def canonical_schema(schema: Schema | str) -> str:
 
     Tables are sorted by name; column order is preserved (it decides
     ``SELECT *`` expansion and fixture round-trips); foreign keys are
-    sorted.  The catalog already lower-cases every identifier.
+    sorted.  The catalog already lower-cases every identifier.  Raw DDL
+    text is parsed only the first time its exact text is seen (the last
+    :data:`_DDL_MEMO_SIZE` texts are memoized).
     """
     if isinstance(schema, str):
-        schema = parse_ddl(schema)
+        return _canonical_ddl(schema)
     parts: list[str] = [f"nullable_fks={schema.allow_nullable_fks}"]
     for table in sorted(schema.tables, key=lambda t: t.name):
         columns = ",".join(
@@ -230,6 +238,12 @@ def canonical_schema(schema: Schema | str) -> str:
             f" pk({','.join(table.primary_key)}) fk[{fks}]"
         )
     return "\n".join(parts)
+
+
+@functools.lru_cache(maxsize=_DDL_MEMO_SIZE)
+def _canonical_ddl(ddl: str) -> str:
+    """:func:`canonical_schema` of raw DDL text, memoized by the text."""
+    return canonical_schema(parse_ddl(ddl))
 
 
 def _render_value(value) -> str:

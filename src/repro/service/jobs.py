@@ -38,7 +38,7 @@ from repro.core.generator import Budgets, GenConfig
 from repro.engine.export import to_csv_map, to_insert_script
 from repro.obs.metrics import Metrics
 from repro.service.cache import SuiteCache, canonical_bytes
-from repro.service.fingerprint import canonical_query, canonical_schema
+from repro.service.fingerprint import canonical_config, canonical_schema
 
 __all__ = [
     "Job",
@@ -218,6 +218,7 @@ class JobQueue:
         self.cache = cache if cache is not None else SuiteCache()
         self.metrics = Metrics()
         self.config = config or GenConfig()
+        self._config_canon = canonical_config(self.config)
         self.max_sessions = max_sessions
         self._jobs: dict[str, Job] = {}
         self._ids = itertools.count(1)
@@ -256,11 +257,12 @@ class JobQueue:
             raise RuntimeError("queue is closed")
         config = request.config or self.config
         session = self._session_for(request.schema, config)
+        canonical_sql, digest = session._canonical(request.query)
         job = Job(
             id=f"job-{next(self._ids)}",
             request=request,
-            fingerprint=session.fingerprint(request.query),
-            canonical_sql=session.canonical_sql(request.query),
+            fingerprint=digest,
+            canonical_sql=canonical_sql,
             submitted_at=time.time(),
         )
         with self._lock:
@@ -361,9 +363,13 @@ class JobQueue:
     # ------------------------------------------------------------------
 
     def _session_for(self, schema, config: GenConfig) -> Session:
-        from repro.service.fingerprint import canonical_config
-
-        key = f"{canonical_schema(schema)}\x1f{canonical_config(config)}"
+        """The warm session of ``(schema, config)``, keyed by their
+        canonical forms so respelled DDL texts share one session."""
+        config_canon = (
+            self._config_canon if config is self.config
+            else canonical_config(config)
+        )
+        key = f"{canonical_schema(schema)}\x1f{config_canon}"
         with self._lock:
             session = self._sessions.get(key)
             if session is None:
@@ -473,7 +479,7 @@ class JobQueue:
                 dataclasses.replace(config, trace=True),
             )
         else:
-            run = session.generate(job.canonical_sql)
+            run = session._run(job.canonical_sql, job.fingerprint)
         evaluation = None
         if request.mode == "evaluate":
             from repro.api import _evaluate_run

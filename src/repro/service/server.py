@@ -37,6 +37,9 @@ __all__ = ["Service", "main"]
 #: Request body cap; a classroom submission is a few KB of DDL + SQL.
 _MAX_BODY = 4 * 1024 * 1024
 
+#: Query text cap, in characters; a classroom query is a few hundred.
+_MAX_QUERY = 16 * 1024
+
 
 def _parse_options(raw: dict | None) -> EvalOptions | None:
     if not raw:
@@ -53,6 +56,12 @@ class _Handler(BaseHTTPRequestHandler):
 
     server_version = "xdata-service/1"
     protocol_version = "HTTP/1.1"
+    # Buffer each response and flush it once per request, so headers and
+    # body leave in one write: written apart, a kept-alive client's
+    # delayed ACK holds each response about 40 ms.  No Nagle either, so
+    # a body larger than the buffer never waits for that ACK.
+    wbufsize = 64 * 1024
+    disable_nagle_algorithm = True
 
     # -- plumbing ------------------------------------------------------
 
@@ -79,9 +88,12 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_json(code, {"error": message})
 
     def _read_body(self) -> dict | None:
-        length = int(self.headers.get("Content-Length") or 0)
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            length = 0
         if length <= 0 or length > _MAX_BODY:
-            self._error(400, "missing or oversized request body")
+            self._error(400, "missing, malformed or oversized request body")
             return None
         try:
             payload = json.loads(self.rfile.read(length))
@@ -115,6 +127,12 @@ class _Handler(BaseHTTPRequestHandler):
             return
         except (TypeError, ValueError) as exc:
             self._error(400, str(exc))
+            return
+        if not isinstance(request.schema, str) or not isinstance(request.query, str):
+            self._error(400, "schema and query must be strings")
+            return
+        if len(request.query) > _MAX_QUERY:
+            self._error(400, f"query longer than {_MAX_QUERY} characters")
             return
         try:
             job = self.server.queue.submit(request)

@@ -35,6 +35,19 @@ from repro.sql.lexer import Token, TokenKind, tokenize
 
 _COMPARISON_OPS = {"=", "<", ">", "<=", ">=", "<>"}
 
+#: Deepest nesting a query may have, counted twice: as the parser's own
+#: recursion (parentheses, subqueries, aggregate arguments, unary minus)
+#: and as levels of the parsed tree, where operator and join chains
+#: nest too.  Every later stage walks the tree recursively; refusing
+#: deeper input here keeps them clear of Python's recursion limit, so a
+#: hostile query ends in a ParseError.  The canonical text of an
+#: accepted query is accepted too: it nests no deeper than its tree.
+MAX_NESTING = 64
+
+#: AST node types :func:`_deeper_than` descends into.
+_NODES = (Expr, FromItem, Query, SelectItem, Comparison, NullTest, Exists,
+          InSubquery)
+
 
 class _Parser:
     """Token-stream cursor with the grammar productions as methods."""
@@ -42,6 +55,11 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self._tokens = tokens
         self._pos = 0
+        self._depth = 0
+        #: Upper bound on the parsed tree's depth, so that shallow
+        #: queries skip the exact check: a recursion adds at most two
+        #: levels (a subquery and its predicate), a chain link one.
+        self.depth_bound = 1
 
     # -- cursor helpers ----------------------------------------------------
 
@@ -78,6 +96,16 @@ class _Parser:
         if self._check(TokenKind.KEYWORD, word):
             raise UnsupportedSqlError(f"{word} is not supported: {why}")
 
+    def _nest(self) -> None:
+        """Enter one level of recursion (callers restore ``_depth`` on
+        exit; a ParseError abandons the whole parse, so no unwinding)."""
+        self._depth += 1
+        self.depth_bound += 2
+        if self._depth > MAX_NESTING:
+            raise ParseError(
+                f"query nests deeper than {MAX_NESTING} levels", self._current
+            )
+
     # -- entry point --------------------------------------------------------
 
     def parse_query(self) -> Query:
@@ -90,6 +118,7 @@ class _Parser:
         return query
 
     def _select_statement(self) -> Query:
+        self._nest()
         self._expect(TokenKind.KEYWORD, "SELECT")
         distinct = False
         if self._keyword("DISTINCT"):
@@ -111,6 +140,7 @@ class _Parser:
             having = tuple(self._conjunction())
         self._reject("UNION", "only single-block queries are in the query class")
         self._reject("ORDER", "ordering does not affect mutant killing")
+        self._depth -= 1
         return Query(
             select_items=tuple(select_items),
             from_items=tuple(from_items),
@@ -169,6 +199,7 @@ class _Parser:
             join = self._maybe_join(item)
             if join is None:
                 return item
+            self.depth_bound += 1
             item = join
 
     def _table_primary(self) -> FromItem:
@@ -177,8 +208,10 @@ class _Parser:
                 raise UnsupportedSqlError(
                     "nested subqueries in FROM are outside the query class (A3)"
                 )
+            self._nest()
             inner = self._from_item()
             self._expect(TokenKind.OP, ")")
+            self._depth -= 1
             return inner
         name = self._expect(TokenKind.IDENT).value
         alias = None
@@ -282,6 +315,7 @@ class _Parser:
         expr = self._multiplicative()
         while self._check(TokenKind.OP, "+") or self._check(TokenKind.OP, "-"):
             op = self._advance().value
+            self.depth_bound += 1
             expr = BinaryOp(op, expr, self._multiplicative())
         return expr
 
@@ -289,6 +323,7 @@ class _Parser:
         expr = self._primary()
         while self._check(TokenKind.OP, "*") or self._check(TokenKind.OP, "/"):
             op = self._advance().value
+            self.depth_bound += 1
             expr = BinaryOp(op, expr, self._primary())
         return expr
 
@@ -303,7 +338,9 @@ class _Parser:
             return Literal(token.value)
         if token.kind is TokenKind.OP and token.value == "-":
             self._advance()
+            self._nest()
             operand = self._primary()
+            self._depth -= 1
             if isinstance(operand, Literal) and isinstance(operand.value, (int, float)):
                 return Literal(-operand.value)
             return BinaryOp("-", Literal(0), operand)
@@ -313,8 +350,10 @@ class _Parser:
                 raise UnsupportedSqlError(
                     "scalar subqueries are outside the query class (A3)"
                 )
+            self._nest()
             expr = self._expression()
             self._expect(TokenKind.OP, ")")
+            self._depth -= 1
             return expr
         if token.kind is TokenKind.KEYWORD and token.value in AGGREGATE_FUNCS:
             return self._aggregate()
@@ -337,7 +376,9 @@ class _Parser:
                 raise ParseError(f"{func}(*) is not valid SQL", self._current)
             arg: Expr = Star()
         else:
+            self._nest()
             arg = self._expression()
+            self._depth -= 1
         self._expect(TokenKind.OP, ")")
         return Aggregate(func, arg, distinct)
 
@@ -347,7 +388,24 @@ def parse_query(sql: str) -> Query:
 
     Raises:
         LexError: On malformed tokens.
-        ParseError: On grammar violations.
+        ParseError: On grammar violations, or nesting deeper than
+            :data:`MAX_NESTING`.
         UnsupportedSqlError: On valid SQL outside the paper's query class.
     """
-    return _Parser(tokenize(sql)).parse_query()
+    parser = _Parser(tokenize(sql))
+    query = parser.parse_query()
+    if parser.depth_bound > MAX_NESTING and _deeper_than(query, MAX_NESTING):
+        raise ParseError(f"query nests deeper than {MAX_NESTING} levels")
+    return query
+
+
+def _deeper_than(node, levels: int) -> bool:
+    """Whether the tree under ``node`` has more than ``levels`` levels;
+    never recurses deeper than ``levels``."""
+    if levels == 0:
+        return True
+    for value in vars(node).values():
+        for child in value if isinstance(value, tuple) else (value,):
+            if isinstance(child, _NODES) and _deeper_than(child, levels - 1):
+                return True
+    return False

@@ -584,6 +584,26 @@ _CLI = [
     "--seed", "11", "--round-size", "4", "--workers", "2",
 ]
 
+_HAS_PROC = os.path.isdir("/proc/self")
+
+
+def _live_group_members(group: int) -> list[int]:
+    """Pids of the process group's members that are not zombies."""
+    members = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as handle:
+                stat = handle.read()
+        except OSError:
+            continue  # exited meanwhile
+        # After the parenthesised command name: state, ppid, pgrp, ...
+        state, _ppid, pgrp = stat.rsplit(")", 1)[1].split()[:3]
+        if int(pgrp) == group and state != "Z":
+            members.append(int(entry))
+    return members
+
 
 class TestKillResume:
     def test_sigkill_then_resume_matches_uninterrupted_run(self, tmp_path):
@@ -594,12 +614,16 @@ class TestKillResume:
             env=env, check=True, capture_output=True, timeout=300,
         )
         killed = str(tmp_path / "killed")
+        # Its own session, so the driver and its pool workers form one
+        # process group the test can account for and clean up.
         proc = subprocess.Popen(
             _CLI + ["--dir", killed, "--cases", "24"],
             env=env,
             stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL,
+            start_new_session=True,
         )
+        group = proc.pid
         checkpoint = os.path.join(killed, "checkpoint.json")
         try:
             deadline = time.monotonic() + 120
@@ -612,8 +636,23 @@ class TestKillResume:
                 time.sleep(0.01)
             else:
                 pytest.fail("campaign never reached the kill point")
+            if _HAS_PROC:
+                assert len(_live_group_members(group)) > 1, "no pool workers"
             proc.send_signal(signal.SIGKILL)
+            proc.wait(timeout=60)
+            # The orphaned workers must obey a SIGTERM to the group, not
+            # the flag-only drain handler the driver installed.
+            os.killpg(group, signal.SIGTERM)
+            if _HAS_PROC:
+                deadline = time.monotonic() + 30
+                while _live_group_members(group) and time.monotonic() < deadline:
+                    time.sleep(0.05)
+                assert _live_group_members(group) == []
         finally:
+            try:
+                os.killpg(group, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
             proc.wait(timeout=60)
         killed_at = json.load(open(checkpoint))["next_case"]
         assert 8 <= killed_at < 24, "SIGKILL landed mid-campaign"

@@ -106,6 +106,13 @@ def test_unbalanced_parens_rejected():
         parse_ddl("CREATE TABLE t (a INT")
 
 
+def test_deep_nesting_is_a_parse_error():
+    # The DDL grammar nests two deep; hostile nesting must not recurse.
+    depth = 3000
+    with pytest.raises(ParseError):
+        parse_ddl("CREATE TABLE t " + "(" * depth + "a INT" + ")" * depth)
+
+
 def test_fk_validation_happens():
     with pytest.raises(SchemaError):
         parse_ddl("CREATE TABLE s (a INT REFERENCES nowhere(a))")

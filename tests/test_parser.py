@@ -15,7 +15,7 @@ from repro.sql.ast import (
     TableRef,
     query_table_refs,
 )
-from repro.sql.parser import parse_query
+from repro.sql.parser import MAX_NESTING, parse_query
 
 
 class TestSelectList:
@@ -277,3 +277,52 @@ class TestRejections:
     def test_double_statement_rejected(self):
         with pytest.raises(ParseError):
             parse_query("SELECT * FROM t; SELECT * FROM s")
+
+
+#: Hostile shapes, each nested far past MAX_NESTING (3,000 levels).
+_DEEP = 3000
+_HOSTILE = {
+    "parenthesised table": "SELECT * FROM " + "(" * _DEEP + "t" + ")" * _DEEP,
+    "parenthesised operand": (
+        "SELECT * FROM t WHERE " + "(" * _DEEP + "t.a" + ")" * _DEEP + " > 1"
+    ),
+    "unary minus": "SELECT * FROM t WHERE t.a > " + "- " * _DEEP + "1",
+    "operator chain": "SELECT * FROM t WHERE t.a > " + " + ".join(["1"] * _DEEP),
+    "join chain": "SELECT * FROM t x0" + "".join(
+        f" JOIN t x{i} ON x{i}.a = x0.a" for i in range(1, _DEEP)
+    ),
+    "nested EXISTS": (
+        "SELECT * FROM t WHERE "
+        + "EXISTS (SELECT * FROM t WHERE " * _DEEP + "t.a = 1" + ")" * _DEEP
+    ),
+    "nested aggregates": "SELECT " + "SUM(" * _DEEP + "t.a" + ")" * _DEEP + " FROM t",
+}
+
+
+class TestNestingLimit:
+    """Hostile nesting ends in a ParseError, never a RecursionError."""
+
+    @pytest.mark.parametrize("sql", _HOSTILE.values(), ids=_HOSTILE.keys())
+    def test_deep_nesting_is_a_parse_error(self, sql):
+        with pytest.raises(ParseError, match="nests deeper than"):
+            parse_query(sql)
+
+    def test_limit_is_on_tree_depth(self):
+        # Query, comparison, one level per operator, leaf: n terms make
+        # a tree n + 2 deep.
+        def chain(terms):
+            return "SELECT * FROM t WHERE t.a > " + " + ".join(["t.b"] * terms)
+
+        parse_query(chain(MAX_NESTING - 2))
+        with pytest.raises(ParseError, match="nests deeper than"):
+            parse_query(chain(MAX_NESTING - 1))
+
+    def test_canonical_text_of_a_query_at_the_limit_parses(self):
+        # The printer parenthesises every operator, so canonical text has
+        # more parentheses than the input; it must still be accepted.
+        from repro.service.fingerprint import canonical_query
+
+        sql = "SELECT * FROM t WHERE t.a > " + " + ".join(["t.b"] * (MAX_NESTING - 2))
+        canonical = canonical_query(sql)
+        assert canonical.count("(") == MAX_NESTING - 3
+        assert canonical_query(canonical) == canonical

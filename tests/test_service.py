@@ -8,6 +8,8 @@ lifecycle/metrics bookkeeping around it stays consistent (hits + misses
 
 from __future__ import annotations
 
+import http.client
+import importlib
 import json
 import time
 import urllib.error
@@ -16,10 +18,14 @@ import urllib.request
 import pytest
 
 import repro
+import repro.api
 from repro.obs.journal import validate_journal
 from repro.service import JobQueue, JobRequest, JobState, Service, SuiteCache
 from repro.service.cache import canonical_bytes
 from repro.service.jobs import request_key
+
+# The module, not the ``fingerprint`` function the package re-exports.
+fingerprint_module = importlib.import_module("repro.service.fingerprint")
 
 DDL = """
 CREATE TABLE dept (id INT PRIMARY KEY, name VARCHAR);
@@ -300,6 +306,72 @@ class TestJobQueueJournal:
         assert "expired" in events[-1]["error"]
 
 
+class TestParseOnce:
+    """The request path parses the DDL text and canonicalizes the query
+    once each: a cache hit costs no DDL parse at all."""
+
+    @staticmethod
+    def _count(monkeypatch, module, name) -> dict:
+        calls = {"n": 0}
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls["n"] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
+    def test_hits_parse_the_ddl_and_canonicalize_the_query_once(
+        self, monkeypatch
+    ):
+        fingerprint_module._canonical_ddl.cache_clear()
+        parses = self._count(monkeypatch, fingerprint_module, "parse_ddl")
+        session_parses = self._count(monkeypatch, repro.api, "parse_ddl")
+        canonicalizations = self._count(
+            monkeypatch, fingerprint_module, "canonical_query"
+        )
+        queue = sync_queue()
+        spellings = [SQL, SQL_RESPELLED, SQL.lower(), SQL.replace(" ", "  ")]
+        jobs = [
+            queue.submit(JobRequest(DDL, spellings[index % len(spellings)]))
+            for index in range(51)
+        ]
+        assert [job.cached for job in jobs] == [False] + [True] * 50
+        # Memo fill plus Session build, whatever the number of hits.
+        assert parses["n"] + session_parses["n"] <= 2
+        assert canonicalizations["n"] == len(jobs)
+        queue.close()
+
+    def test_session_canonicalizes_once_per_call(self, monkeypatch):
+        session = repro.Session(DDL)
+        calls = self._count(monkeypatch, fingerprint_module, "canonical_query")
+        session.generate(SQL)  # miss
+        session.generate(SQL_RESPELLED)  # hit
+        session.evaluate(SQL)
+        assert calls["n"] == 3
+
+    def test_respelled_ddl_is_a_hit_with_identical_bytes(self):
+        queue = sync_queue()
+        respelled = " ".join(DDL.upper().split())
+        cold = queue.submit(JobRequest(DDL, SQL))
+        warm = queue.submit(JobRequest(respelled, SQL_RESPELLED))
+        assert warm.fingerprint == cold.fingerprint
+        assert warm.cached and warm.result == cold.result
+        assert warm.fingerprint == repro.fingerprint(respelled, SQL)
+        queue.close()
+
+    def test_ddl_memo_is_bounded(self):
+        bound = fingerprint_module._DDL_MEMO_SIZE
+        expected = fingerprint_module.canonical_schema(repro.parse_ddl(DDL))
+        for index in range(bound + 5):
+            text = f"{DDL}\n-- submission {index}\n"
+            assert fingerprint_module.canonical_schema(text) == expected
+            info = fingerprint_module._canonical_ddl.cache_info()
+            assert info.currsize <= bound
+        assert info.currsize == bound
+
+
 # ---------------------------------------------------------------------------
 # HTTP service
 # ---------------------------------------------------------------------------
@@ -417,3 +489,68 @@ class TestHttpService:
         with urllib.request.urlopen(request) as response:
             body = json.loads(response.read())
         assert body["cancelled"] is False  # already finished
+
+    def test_kept_alive_connection_does_not_stall(self, service):
+        submitted = _post_job(service, {"schema": DDL, "query": SQL})
+        _wait_done(service, submitted["id"])
+        host, port = service.url.removeprefix("http://").split(":")
+        connection = http.client.HTTPConnection(host, int(port), timeout=30)
+        paths = ["/healthz", f"/v1/jobs/{submitted['id']}/result"] * 10
+        started = time.perf_counter()
+        for path in paths:
+            connection.request("GET", path)
+            response = connection.getresponse()
+            response.read()
+            assert response.status == 200
+        elapsed = time.perf_counter() - started
+        connection.close()
+        # Headers and body written apart would stall each response ~40 ms
+        # on the client's delayed ACK; one write answers in about 1 ms.
+        assert elapsed < len(paths) * 0.040 / 4, elapsed
+
+
+class TestHostileSubmissions:
+    def _post(self, svc, body: dict) -> tuple[int, dict]:
+        request = urllib.request.Request(
+            svc.url + "/v1/jobs",
+            data=json.dumps(body).encode("utf-8"),
+            headers={"Content-Type": "application/json"},
+        )
+        try:
+            with urllib.request.urlopen(request) as response:
+                return response.status, json.loads(response.read())
+        except urllib.error.HTTPError as exc:
+            return exc.code, json.loads(exc.read())
+
+    def test_deeply_nested_query_is_a_400_parse_error(self, service):
+        depth = 3000
+        sql = "SELECT * FROM " + "(" * depth + "emp" + ")" * depth
+        status, body = self._post(service, {"schema": DDL, "query": sql})
+        assert status == 400
+        assert body["error"].startswith("ParseError:"), body
+
+    def test_overlong_query_is_a_400(self, service):
+        from repro.service.server import _MAX_QUERY
+
+        sql = SQL + " AND e.salary > 10" * (_MAX_QUERY // 10)
+        status, body = self._post(service, {"schema": DDL, "query": sql})
+        assert status == 400 and "longer than" in body["error"]
+
+    def test_malformed_content_length_is_a_400(self, service):
+        host, port = service.url.removeprefix("http://").split(":")
+        connection = http.client.HTTPConnection(host, int(port), timeout=30)
+        connection.putrequest("POST", "/v1/jobs")
+        connection.putheader("Content-Length", "abc")
+        connection.endheaders()
+        response = connection.getresponse()
+        assert response.status == 400
+        assert "malformed" in json.loads(response.read())["error"]
+        connection.close()
+
+    @pytest.mark.parametrize("body", [
+        {"schema": DDL, "query": 42},
+        {"schema": {"tables": []}, "query": SQL},
+    ])
+    def test_non_string_fields_are_a_400(self, service, body):
+        status, answer = self._post(service, body)
+        assert status == 400 and "must be strings" in answer["error"]
