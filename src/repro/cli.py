@@ -187,7 +187,7 @@ def _build_parser() -> argparse.ArgumentParser:
                 action="store_true",
                 help="ablation: disable the batched subplan cache and "
                 "re-execute every mutant tree from scratch (the verdicts "
-                "are identical; see benchmarks/bench_killcheck.py)",
+                "are identical; see tests/test_subplan_cache.py)",
             )
         if name == "generate":
             cmd.add_argument(

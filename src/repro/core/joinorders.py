@@ -182,8 +182,12 @@ def node_conditions(aq: AnalyzedQuery, node: NodeShape) -> list[Comparison]:
     equality; every deeper straddle got its own equality lower down, so
     the conjunction over the whole tree implies the full class.
     """
-    left = node.left.bindings
-    right = node.right.bindings
+    return _conditions(aq, node.left.bindings, node.right.bindings)
+
+
+def _conditions(
+    aq: AnalyzedQuery, left: frozenset[str], right: frozenset[str]
+) -> list[Comparison]:
     union = left | right
     conditions: list[Comparison] = []
     for ec in aq.eq_classes:
@@ -213,51 +217,82 @@ def node_conditions(aq: AnalyzedQuery, node: NodeShape) -> list[Comparison]:
 # ---------------------------------------------------------------------------
 
 
-def shape_to_plan(
-    aq: AnalyzedQuery,
-    shape: Shape,
-    kinds: dict[NodeShape, JoinKind] | None = None,
-) -> PlanNode:
-    """Compile a shape into an executable plan.
+class ShapePlanner:
+    """Compiles shapes into INNER plans that share one subtree per shape node.
 
-    ``kinds`` overrides individual nodes' join types (default INNER) —
-    this is how join-type mutants are materialised.  Selections are pushed
-    to the leaves; the select list / aggregation of the analyzed query
-    goes on top.
+    :func:`enumerate_shapes` shares sub-shape objects across the trees
+    it returns, so memoizing by shape object builds each distinct
+    subtree — its scan, its pushed-down selections, its join
+    conditions — once for the whole join-order space; the plans of
+    different shapes hold the same node objects wherever their shapes
+    do.  Memo keys are object ids, with the shape kept alive beside its
+    value, so a shape's recursive dataclass hash is never computed.
     """
-    kinds = kinds or {}
 
-    def build(node: Shape) -> PlanNode:
-        if isinstance(node, LeafShape):
-            occurrence = aq.occurrences[node.binding]
-            plan: PlanNode = ScanNode(occurrence.table, node.binding)
+    def __init__(self, aq: AnalyzedQuery):
+        self.aq = aq
+        self._nodes: dict[int, tuple[Shape, PlanNode, frozenset[str]]] = {}
+        query = aq.query
+        self._aggregate = bool(aq.group_by or aq.aggregates or query.having)
+
+    def _build(self, shape: Shape) -> tuple[Shape, PlanNode, frozenset[str]]:
+        memo = self._nodes.get(id(shape))
+        if memo is not None:
+            return memo
+        aq = self.aq
+        if isinstance(shape, LeafShape):
+            binding = shape.binding
+            plan: PlanNode = ScanNode(aq.occurrences[binding].table, binding)
+            bindings = frozenset({binding})
             selections = [
-                info.pred
-                for info in aq.selections
-                if info.bindings == frozenset({node.binding})
+                info.pred for info in aq.selections if info.bindings == bindings
             ]
             selections.extend(
-                info.pred
-                for info in aq.null_tests
-                if info.attr.binding == node.binding
+                info.pred for info in aq.null_tests if info.attr.binding == binding
             )
             if selections:
                 plan = SelectNode(plan, tuple(selections))
-            return plan
-        assert isinstance(node, NodeShape)
-        kind = kinds.get(node, JoinKind.INNER)
-        return JoinNode(
-            kind, build(node.left), build(node.right),
-            tuple(node_conditions(aq, node)),
-        )
+        else:
+            assert isinstance(shape, NodeShape)
+            _, left, left_bindings = self._build(shape.left)
+            _, right, right_bindings = self._build(shape.right)
+            bindings = left_bindings | right_bindings
+            plan = JoinNode(
+                JoinKind.INNER, left, right,
+                tuple(_conditions(aq, left_bindings, right_bindings)),
+            )
+        memo = self._nodes[id(shape)] = (shape, plan, bindings)
+        return memo
 
-    plan = build(shape)
-    query = aq.query
-    if aq.group_by or aq.aggregates or query.having:
-        return AggregateNode(
-            plan,
-            tuple(query.group_by),
-            tuple(query.select_items),
-            tuple(query.having),
-        )
-    return ProjectNode(plan, tuple(query.select_items), query.distinct)
+    def subtree(self, shape: Shape) -> PlanNode:
+        """The shared INNER join tree of ``shape`` (no select list)."""
+        return self._build(shape)[1]
+
+    def bindings(self, shape: Shape) -> frozenset[str]:
+        """``shape.bindings``, memoized with the subtree."""
+        return self._build(shape)[2]
+
+    def plan(self, shape: Shape) -> PlanNode:
+        """The executable plan: the shared join tree under the query's
+        select list or aggregation."""
+        tree = self.subtree(shape)
+        query = self.aq.query
+        if self._aggregate:
+            return AggregateNode(
+                tree,
+                tuple(query.group_by),
+                tuple(query.select_items),
+                tuple(query.having),
+            )
+        return ProjectNode(tree, tuple(query.select_items), query.distinct)
+
+
+def shape_to_plan(aq: AnalyzedQuery, shape: Shape) -> PlanNode:
+    """Compile a shape into an executable plan, every join INNER.
+
+    Selections are pushed to the leaves; the select list / aggregation
+    of the analyzed query goes on top.  Join-type mutants are this plan
+    with one join path-copied to another kind
+    (:func:`repro.mutation.jointype.join_mutants_inner`).
+    """
+    return ShapePlanner(aq).plan(shape)

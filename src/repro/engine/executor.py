@@ -34,6 +34,7 @@ from repro.engine.plan import (
     ScanNode,
     SelectNode,
     compile_query,
+    node_fields_repr,
     plan_fingerprint,
 )
 from repro.engine.relation import Relation
@@ -119,17 +120,20 @@ def _node_spec(plan: PlanNode):
     if spec is not None:
         return spec
     if isinstance(plan, SelectNode):
-        spec = repr(plan.predicates)
+        spec = node_fields_repr(plan)[0]
     elif isinstance(plan, JoinNode):
-        condition = () if plan.kind is JoinKind.CROSS else plan.condition
+        if plan.kind is JoinKind.CROSS:
+            condition = "()"
+        else:
+            condition = node_fields_repr(plan)[0]
         # (condition, kind) pair: the kernel key uses spec[0] alone, the
         # output-frame key uses the whole pair.  Enum ``.name`` is a
         # DynamicClassAttribute lookup — worth memoizing too.
-        spec = (repr(condition), plan.kind.name)
+        spec = (condition, plan.kind.name)
     elif isinstance(plan, ProjectNode):
-        spec = (repr(plan.items), plan.distinct)
+        spec = (node_fields_repr(plan)[0], plan.distinct)
     elif isinstance(plan, AggregateNode):
-        spec = (repr(plan.group_by), repr(plan.items), repr(plan.having))
+        spec = node_fields_repr(plan)
     else:
         raise ExecutionError(f"no cache-key spec for plan node {plan!r}")
     object.__setattr__(plan, _SPEC_ATTR, spec)

@@ -66,7 +66,9 @@ class JoinNode(PlanNode):
 
     def with_kind(self, kind: JoinKind) -> "JoinNode":
         """This join with a different join type (a join-type mutation)."""
-        return JoinNode(kind, self.left, self.right, self.condition, self.natural)
+        return _carry_fields(
+            self, JoinNode(kind, self.left, self.right, self.condition, self.natural)
+        )
 
 
 @dataclass(frozen=True)
@@ -131,8 +133,119 @@ def compile_query(query: Query) -> PlanNode:
 
 
 # ---------------------------------------------------------------------------
+# Path copying
+# ---------------------------------------------------------------------------
+
+
+def _path_to(plan: PlanNode, target: PlanNode) -> list[tuple[PlanNode, str]] | None:
+    """``(ancestor, child field)`` pairs on the path from the root to
+    ``target``, nearest ancestor first; ``None`` if it is not below."""
+    if plan is target:
+        return []
+    if isinstance(plan, JoinNode):
+        fields = ("left", "right")
+    elif isinstance(plan, ScanNode):
+        return None
+    else:
+        fields = ("child",)
+    for name in fields:
+        below = _path_to(getattr(plan, name), target)
+        if below is not None:
+            below.append((plan, name))
+            return below
+    return None
+
+
+def _with_child(node: PlanNode, name: str, child: PlanNode) -> PlanNode:
+    """A copy of ``node`` with its ``name`` child replaced."""
+    if isinstance(node, JoinNode):
+        if name == "left":
+            copy = JoinNode(node.kind, child, node.right, node.condition, node.natural)
+        else:
+            copy = JoinNode(node.kind, node.left, child, node.condition, node.natural)
+    elif isinstance(node, SelectNode):
+        copy = SelectNode(child, node.predicates)
+    elif isinstance(node, ProjectNode):
+        copy = ProjectNode(child, node.items, node.distinct)
+    else:
+        assert isinstance(node, AggregateNode)
+        copy = AggregateNode(child, node.group_by, node.items, node.having)
+    return _carry_fields(node, copy)
+
+
+def replace_node(
+    plan: PlanNode, target: PlanNode, replacement: PlanNode
+) -> PlanNode:
+    """``plan`` with the node ``target`` (found by identity) replaced.
+
+    Path copying: only the ancestors of ``target`` are rebuilt, each
+    around its one new child; every subtree off the root-to-target path
+    is the very object ``plan`` holds.  This is how every mutant is
+    built — a mutant differs from its base plan in one node, so it
+    allocates one path, and the per-node memos of the shared subtrees
+    (fingerprints, cache-key specs, frame keys) are computed once for
+    the whole mutant batch.  Sharing is safe because plan nodes are
+    frozen and every memo stashed on a node is derived from its content.
+
+    Raises:
+        ValueError: If ``target`` is not a node of ``plan``.
+    """
+    path = _path_to(plan, target)
+    if path is None:
+        raise ValueError(f"{target!r} is not a node of the plan")
+    node = replacement
+    for ancestor, name in path:
+        node = _with_child(ancestor, name, node)
+    return node
+
+
+# ---------------------------------------------------------------------------
 # Structural fingerprints
 # ---------------------------------------------------------------------------
+
+#: Memoized reprs of a node's own expression fields (everything but its
+#: children and join kind) — the costly part of both its fingerprint and
+#: the executor's cache-key spec.
+_FIELDS_ATTR = "_fields_repr"
+
+
+def node_fields_repr(node: PlanNode) -> tuple[str, ...]:
+    """The ``repr`` of each of a node's own fields, memoized per node.
+
+    Frozen AST dataclasses have a deterministic, complete ``repr``, so
+    equal fields give equal strings.  A copy that holds the very same
+    field objects — a path copy's ancestors, a join flipped by
+    :meth:`JoinNode.with_kind` — inherits the memo instead of repeating
+    the recursive ``repr``.
+    """
+    cached = node.__dict__.get(_FIELDS_ATTR)
+    if cached is not None:
+        return cached
+    if isinstance(node, ScanNode):
+        fields = (node.table, node.binding)
+    elif isinstance(node, SelectNode):
+        fields = (repr(node.predicates),)
+    elif isinstance(node, JoinNode):
+        fields = (repr(node.condition), repr(node.natural))
+    elif isinstance(node, ProjectNode):
+        fields = (repr(node.items), repr(node.distinct))
+    elif isinstance(node, AggregateNode):
+        fields = (repr(node.group_by), repr(node.items), repr(node.having))
+    else:
+        raise TypeError(f"unexpected plan node {node!r}")
+    object.__setattr__(node, _FIELDS_ATTR, fields)
+    return fields
+
+
+def _carry_fields(source: PlanNode, copy: PlanNode) -> PlanNode:
+    """Hand ``source``'s field-repr memo to a copy sharing its fields.
+
+    Computed here if ``source`` has none yet: every copy of one node
+    then shares a single ``repr`` pass.
+    """
+    object.__setattr__(copy, _FIELDS_ATTR, node_fields_repr(source))
+    return copy
+
 
 #: Cached-fingerprint attribute name.  Plan nodes are frozen dataclasses
 #: (no ``__slots__``), so the digest is stashed on the instance dict with
@@ -153,34 +266,23 @@ def _fingerprint_parts(node: PlanNode) -> list[str]:
     operator, aggregate function, flipped NULL test — lands in the
     stream and changes the digest.
     """
+    fields = node_fields_repr(node)
     if isinstance(node, ScanNode):
-        return ["Scan", node.table, node.binding]
+        return ["Scan", *fields]
     if isinstance(node, SelectNode):
-        return ["Select", plan_fingerprint(node.child), repr(node.predicates)]
+        return ["Select", plan_fingerprint(node.child), *fields]
     if isinstance(node, JoinNode):
         return [
             "Join",
             node.kind.name,
             plan_fingerprint(node.left),
             plan_fingerprint(node.right),
-            repr(node.condition),
-            repr(node.natural),
+            *fields,
         ]
     if isinstance(node, ProjectNode):
-        return [
-            "Project",
-            plan_fingerprint(node.child),
-            repr(node.items),
-            repr(node.distinct),
-        ]
+        return ["Project", plan_fingerprint(node.child), *fields]
     if isinstance(node, AggregateNode):
-        return [
-            "Aggregate",
-            plan_fingerprint(node.child),
-            repr(node.group_by),
-            repr(node.items),
-            repr(node.having),
-        ]
+        return ["Aggregate", plan_fingerprint(node.child), *fields]
     raise TypeError(f"cannot fingerprint plan node {node!r}")
 
 

@@ -41,8 +41,12 @@ cached values are treated as immutable by the executor (frames are
 read-only once built; kernel row lists are copied before padding).
 
 Counters (``hits`` / ``misses`` / ``bytes``) follow the §5e metrics
-conventions and surface as ``xdata_subplan_cache_*`` counters when a
+conventions (``bytes`` is a running total) and surface as
+``xdata_subplan_cache_*`` counters when a
 kill check runs under metrics (see :func:`repro.api.evaluate`).
+``peak_bytes`` in :meth:`SubplanCache.stats` is the largest working set
+stored between two drops — what a batch that drops each dataset when
+done with it needed in memory at once.
 """
 
 from __future__ import annotations
@@ -104,6 +108,12 @@ class SubplanCache:
     #: Shallow size estimate of everything ever stored (monotonic, per
     #: the counter convention; live size shrinks on ``drop_dataset``).
     bytes_stored: int = 0
+    #: The most bytes stored between two consecutive ``drop_dataset``
+    #: calls: the peak live working set of a batch that drops each
+    #: dataset when done with it.  Kept up at the drops, off the hot path.
+    peak_bytes: int = 0
+    #: ``bytes_stored`` at the last drop.
+    _mark: int = field(default=0, repr=False)
     #: One-slot memo of the last dataset's entry dict — kill-check
     #: batches probe the same dataset thousands of times in a row.
     _last_id: int | None = field(default=None, repr=False)
@@ -177,11 +187,19 @@ class SubplanCache:
         self._by_dataset.pop(id(db), None)
         self._last_id = None
         self._last_entry = None
+        self.peak_bytes = self._live_peak()
+        self._mark = self.bytes_stored
 
     def clear(self) -> None:
         self._by_dataset.clear()
         self._last_id = None
         self._last_entry = None
+        self.peak_bytes = self._live_peak()
+        self._mark = self.bytes_stored
+
+    def _live_peak(self) -> int:
+        """``peak_bytes`` counting the batch stored since the last drop."""
+        return max(self.peak_bytes, self.bytes_stored - self._mark)
 
     @property
     def hit_rate(self) -> float:
@@ -202,5 +220,6 @@ class SubplanCache:
             "hits": self.hits,
             "misses": self.misses,
             "bytes": self.bytes_stored,
+            "peak_bytes": self._live_peak(),
             "hit_rate": round(self.hit_rate, 4),
         }

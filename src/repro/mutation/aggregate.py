@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from repro.core.analyze import AnalyzedQuery
 from repro.engine.plan import PlanNode, compile_query
 from repro.mutation.util import replace_having_aggregate, replace_select_aggregate
-from repro.sql.ast import Aggregate, Query
+from repro.sql.ast import Aggregate
 
 #: (func, distinct) pairs of the mutation space, numeric attributes.
 NUMERIC_SPACE = (
@@ -43,47 +43,49 @@ class AggregateMutant:
     """One aggregation-operator mutant."""
 
     plan: PlanNode
-    query: Query
     description: str
 
 
-def aggregate_mutants(aq: AnalyzedQuery) -> list[AggregateMutant]:
+def aggregate_mutants(
+    aq: AnalyzedQuery, original: PlanNode | None = None
+) -> list[AggregateMutant]:
     """All single aggregation-operator mutants of the select list and
     HAVING clause (Section II: "an aggregation operator can occur in the
-    select clause of the query or in the having clause")."""
+    select clause of the query or in the having clause").
+
+    Each mutant is ``original`` (the compiled query, compiled here when
+    not given) with its aggregation node replaced.
+    """
+    plan = original if original is not None else compile_query(aq.query)
     out: list[AggregateMutant] = []
     for info in aq.aggregates:
         if info.attr is None:  # COUNT(*)
             continue
         numeric = not aq.attr_type(info.attr).is_textual
         space = NUMERIC_SPACE if numeric else STRING_SPACE
-        original = info.agg
+        agg = info.agg
         for func, distinct in space:
-            if (func, distinct) == (original.func, original.distinct):
+            if (func, distinct) == (agg.func, agg.distinct):
                 continue
-            replacement = Aggregate(func, original.arg, distinct)
-            mutated = replace_select_aggregate(aq.query, original, replacement)
+            replacement = Aggregate(func, agg.arg, distinct)
             out.append(
                 AggregateMutant(
-                    compile_query(mutated),
-                    mutated,
-                    f"{original} -> {replacement}",
+                    replace_select_aggregate(plan, agg, replacement),
+                    f"{agg} -> {replacement}",
                 )
             )
     for having in aq.having:
         if having.attr is None:  # COUNT(*)
             continue
-        original = having.agg
+        agg = having.agg
         for func, distinct in NUMERIC_SPACE:
-            if (func, distinct) == (original.func, original.distinct):
+            if (func, distinct) == (agg.func, agg.distinct):
                 continue
-            replacement = Aggregate(func, original.arg, distinct)
-            mutated = replace_having_aggregate(aq.query, original, replacement)
+            replacement = Aggregate(func, agg.arg, distinct)
             out.append(
                 AggregateMutant(
-                    compile_query(mutated),
-                    mutated,
-                    f"having: {original} -> {replacement}",
+                    replace_having_aggregate(plan, agg, replacement),
+                    f"having: {agg} -> {replacement}",
                 )
             )
     return out

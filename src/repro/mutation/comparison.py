@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from repro.core.analyze import AnalyzedQuery
 from repro.engine.plan import PlanNode, compile_query
-from repro.sql.ast import COMPARISON_OPS, Comparison, Query
+from repro.sql.ast import COMPARISON_OPS, Comparison
 from repro.mutation.util import replace_having_conjunct, replace_where_conjunct
 
 #: Strings support the full operator space: interning is rank-preserving.
@@ -28,12 +28,18 @@ class ComparisonMutant:
     """One comparison-operator mutant."""
 
     plan: PlanNode
-    query: Query
     description: str
 
 
-def comparison_mutants(aq: AnalyzedQuery) -> list[ComparisonMutant]:
-    """All single comparison-operator mutants of selection conjuncts."""
+def comparison_mutants(
+    aq: AnalyzedQuery, original: PlanNode | None = None
+) -> list[ComparisonMutant]:
+    """All single comparison-operator mutants of selection conjuncts.
+
+    Each mutant is ``original`` (the compiled query, compiled here when
+    not given) with its WHERE filter or aggregation path-copied.
+    """
+    original = original if original is not None else compile_query(aq.query)
     selection_preds = {id(info.pred) for info in aq.selections}
     selection_strs = {str(info.pred) for info in aq.selections}
     out: list[ComparisonMutant] = []
@@ -46,11 +52,9 @@ def comparison_mutants(aq: AnalyzedQuery) -> list[ComparisonMutant]:
         for op in ops:
             if op == pred.op:
                 continue
-            mutated = replace_where_conjunct(query, position, pred.with_op(op))
             out.append(
                 ComparisonMutant(
-                    compile_query(mutated),
-                    mutated,
+                    replace_where_conjunct(original, position, pred.with_op(op)),
                     f"where[{position}]: '{pred}' -> '{pred.with_op(op)}'",
                 )
             )
@@ -60,11 +64,9 @@ def comparison_mutants(aq: AnalyzedQuery) -> list[ComparisonMutant]:
         for op in COMPARISON_OPS:
             if op == pred.op:
                 continue
-            mutated = replace_having_conjunct(query, position, pred.with_op(op))
             out.append(
                 ComparisonMutant(
-                    compile_query(mutated),
-                    mutated,
+                    replace_having_conjunct(original, position, pred.with_op(op)),
                     f"having[{position}]: '{pred}' -> '{pred.with_op(op)}'",
                 )
             )

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 from repro.core.analyze import AnalyzedQuery
 from repro.engine.plan import PlanNode, compile_query
-from repro.mutation.util import replace_where_conjunct
-from repro.sql.ast import ColumnRef, Comparison, Query
+from repro.mutation.util import replace_where_conjunct, replace_where_conjuncts
+from repro.sql.ast import ColumnRef, Comparison
 
 
 @dataclass(frozen=True)
@@ -31,7 +31,6 @@ class JoinCondMutant:
     """One join-condition mutant."""
 
     plan: PlanNode
-    query: Query
     description: str
 
 
@@ -66,8 +65,15 @@ def _equijoin_positions(aq: AnalyzedQuery) -> list[int]:
     return positions
 
 
-def wrong_attribute_mutants(aq: AnalyzedQuery) -> list[JoinCondMutant]:
-    """Replace one side of an equi-join conjunct with a sibling column."""
+def wrong_attribute_mutants(
+    aq: AnalyzedQuery, original: PlanNode | None = None
+) -> list[JoinCondMutant]:
+    """Replace one side of an equi-join conjunct with a sibling column.
+
+    Each mutant is ``original`` (the compiled query, compiled here when
+    not given) with its WHERE filter path-copied.
+    """
+    original = original if original is not None else compile_query(aq.query)
     out: list[JoinCondMutant] = []
     query = aq.query
     for position in _equijoin_positions(aq):
@@ -80,19 +86,25 @@ def wrong_attribute_mutants(aq: AnalyzedQuery) -> list[JoinCondMutant]:
                     mutated_pred = Comparison(pred.op, replacement, pred.right)
                 else:
                     mutated_pred = Comparison(pred.op, pred.left, replacement)
-                mutated = replace_where_conjunct(query, position, mutated_pred)
                 out.append(
                     JoinCondMutant(
-                        compile_query(mutated),
-                        mutated,
+                        replace_where_conjunct(original, position, mutated_pred),
                         f"where[{position}]: '{pred}' -> '{mutated_pred}'",
                     )
                 )
     return out
 
 
-def missing_conjunct_mutants(aq: AnalyzedQuery) -> list[JoinCondMutant]:
-    """Drop one equi-join conjunct (the forgotten-join error)."""
+def missing_conjunct_mutants(
+    aq: AnalyzedQuery, original: PlanNode | None = None
+) -> list[JoinCondMutant]:
+    """Drop one equi-join conjunct (the forgotten-join error).
+
+    Each mutant is ``original`` (the compiled query, compiled here when
+    not given) with its WHERE filter path-copied, or removed when the
+    dropped conjunct was its only one.
+    """
+    original = original if original is not None else compile_query(aq.query)
     out: list[JoinCondMutant] = []
     query = aq.query
     for position in _equijoin_positions(aq):
@@ -100,17 +112,9 @@ def missing_conjunct_mutants(aq: AnalyzedQuery) -> list[JoinCondMutant]:
         where = tuple(
             p for index, p in enumerate(query.where) if index != position
         )
-        mutated = Query(
-            select_items=query.select_items,
-            from_items=query.from_items,
-            where=where,
-            group_by=query.group_by,
-            distinct=query.distinct,
-        )
         out.append(
             JoinCondMutant(
-                compile_query(mutated),
-                mutated,
+                replace_where_conjuncts(original, where),
                 f"where[{position}]: dropped '{pred}'",
             )
         )

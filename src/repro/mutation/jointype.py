@@ -19,21 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.analyze import AnalyzedQuery
-from repro.core.joinorders import (
-    NodeShape,
-    Shape,
-    enumerate_shapes,
-    shape_nodes,
-    shape_to_plan,
-)
+from repro.core.joinorders import ShapePlanner, enumerate_shapes, shape_nodes
 from repro.engine.plan import (
-    AggregateNode,
     JoinNode,
     PlanNode,
-    ProjectNode,
     ScanNode,
-    SelectNode,
     compile_query,
+    replace_node,
 )
 from repro.sql.ast import JoinKind
 
@@ -53,41 +45,45 @@ class JoinMutant:
     canonical: str
 
 
+#: Canonical join symbol per kind (RIGHT is rewritten to LEFT first).
+_SYMBOLS = {
+    JoinKind.INNER: "J",
+    JoinKind.LEFT: "L",
+    JoinKind.FULL: "F",
+    JoinKind.CROSS: "X",
+}
+_SYMMETRIC = (JoinKind.INNER, JoinKind.FULL, JoinKind.CROSS)
+_CANONICAL_ATTR = "_join_canonical"
+
+
 def plan_canonical(plan: PlanNode) -> str:
     """Canonical string of a plan modulo join commutativity.
 
     INNER, CROSS and FULL joins are symmetric: children are sorted.  A
     RIGHT join is a mirrored LEFT join.  Conditions are derived from the
     node's binding sets, so they don't participate in identity.
+    Memoized per node, like the structural fingerprint: a path-copied
+    mutant computes the canonical form of its new path only.
     """
+    cached = plan.__dict__.get(_CANONICAL_ATTR)
+    if cached is not None:
+        return cached
     if isinstance(plan, ScanNode):
-        return plan.binding
-    if isinstance(plan, SelectNode):
-        return plan_canonical(plan.child)
-    if isinstance(plan, (ProjectNode, AggregateNode)):
-        return plan_canonical(plan.child)
-    assert isinstance(plan, JoinNode)
-    left = plan_canonical(plan.left)
-    right = plan_canonical(plan.right)
-    kind = plan.kind
-    if kind is JoinKind.RIGHT:
-        kind = JoinKind.LEFT
-        left, right = right, left
-    if kind in (JoinKind.INNER, JoinKind.FULL, JoinKind.CROSS) and right < left:
-        left, right = right, left
-    symbol = {
-        JoinKind.INNER: "J",
-        JoinKind.LEFT: "L",
-        JoinKind.FULL: "F",
-        JoinKind.CROSS: "X",
-    }[kind]
-    return f"({left} {symbol} {right})"
-
-
-def _describe(shape: Shape, node: NodeShape, kind: JoinKind) -> str:
-    left = ",".join(sorted(node.left.bindings))
-    right = ",".join(sorted(node.right.bindings))
-    return f"[{left}] {kind.value} [{right}]"
+        canonical = plan.binding
+    elif isinstance(plan, JoinNode):
+        left = plan_canonical(plan.left)
+        right = plan_canonical(plan.right)
+        kind = plan.kind
+        if kind is JoinKind.RIGHT:
+            kind = JoinKind.LEFT
+            left, right = right, left
+        if kind in _SYMMETRIC and right < left:
+            left, right = right, left
+        canonical = f"({left} {_SYMBOLS[kind]} {right})"
+    else:
+        canonical = plan_canonical(plan.child)
+    object.__setattr__(plan, _CANONICAL_ATTR, canonical)
+    return canonical
 
 
 def join_mutants_inner(
@@ -95,93 +91,68 @@ def join_mutants_inner(
     include_full: bool = False,
     tree_cap: int = 20000,
 ) -> list[JoinMutant]:
-    """All deduplicated single join-type mutants over all join orders."""
+    """All deduplicated single join-type mutants over all join orders.
+
+    Each shape's INNER plan is built once from subtrees shared across
+    the whole space (:class:`ShapePlanner`); a mutant is that plan with
+    one join path-copied to another kind.
+    """
     targets = ALL_TARGETS if include_full else DEFAULT_TARGETS
+    planner = ShapePlanner(aq)
     mutants: dict[str, JoinMutant] = {}
     for shape in enumerate_shapes(aq, cap=tree_cap):
+        plan = planner.plan(shape)
         for node in shape_nodes(shape):
+            join = planner.subtree(node)
+            left = ",".join(sorted(planner.bindings(node.left)))
+            right = ",".join(sorted(planner.bindings(node.right)))
             for kind in targets:
-                plan = shape_to_plan(aq, shape, kinds={node: kind})
-                canonical = plan_canonical(plan)
+                mutant = replace_node(plan, join, join.with_kind(kind))
+                canonical = plan_canonical(mutant)
                 if canonical not in mutants:
                     mutants[canonical] = JoinMutant(
-                        plan, _describe(shape, node, kind), canonical
+                        mutant, f"[{left}] {kind.value} [{right}]", canonical
                     )
     return list(mutants.values())
 
 
-def _mutate_plan_nodes(plan: PlanNode, targets) -> list[tuple[PlanNode, str]]:
-    """Single-node kind changes over a compiled plan (outer-join queries)."""
-    joins: list[JoinNode] = []
-
-    def collect(node: PlanNode):
-        if isinstance(node, JoinNode):
-            joins.append(node)
-            collect(node.left)
-            collect(node.right)
-        elif isinstance(node, SelectNode):
-            collect(node.child)
-        elif isinstance(node, (ProjectNode, AggregateNode)):
-            collect(node.child)
-
-    collect(plan)
-
-    def rebuild(node: PlanNode, victim: JoinNode, kind: JoinKind) -> PlanNode:
-        if node is victim:
-            assert isinstance(node, JoinNode)
-            return JoinNode(
-                kind,
-                rebuild(node.left, victim, kind),
-                rebuild(node.right, victim, kind),
-                node.condition,
-                node.natural,
-            )
-        if isinstance(node, JoinNode):
-            return JoinNode(
-                node.kind,
-                rebuild(node.left, victim, kind),
-                rebuild(node.right, victim, kind),
-                node.condition,
-                node.natural,
-            )
-        if isinstance(node, SelectNode):
-            return SelectNode(rebuild(node.child, victim, kind), node.predicates)
-        if isinstance(node, ProjectNode):
-            return ProjectNode(
-                rebuild(node.child, victim, kind), node.items, node.distinct
-            )
-        if isinstance(node, AggregateNode):
-            return AggregateNode(
-                rebuild(node.child, victim, kind), node.group_by, node.items
-            )
-        return node
-
-    out: list[tuple[PlanNode, str]] = []
-    for victim in joins:
-        kinds = set(targets) | {JoinKind.INNER}
-        kinds.discard(victim.kind)
-        if victim.kind is JoinKind.CROSS:
-            continue
-        for kind in sorted(kinds, key=lambda k: k.value):
-            out.append(
-                (rebuild(plan, victim, kind), f"{victim.kind.value} -> {kind.value}")
-            )
-    return out
+def _joins(plan: PlanNode) -> list[JoinNode]:
+    """The join nodes of a plan, outermost first, left before right."""
+    if isinstance(plan, ScanNode):
+        return []
+    if isinstance(plan, JoinNode):
+        return [plan] + _joins(plan.left) + _joins(plan.right)
+    return _joins(plan.child)
 
 
 def join_mutants_outer(
-    aq: AnalyzedQuery, include_full: bool = False
+    aq: AnalyzedQuery,
+    include_full: bool = False,
+    original: PlanNode | None = None,
 ) -> list[JoinMutant]:
-    """Single-node join-type mutants of the written (outer-join) tree."""
+    """Single-node join-type mutants of the written (outer-join) tree.
+
+    Each mutant is ``original`` (the compiled query, compiled here when
+    not given) with one join path-copied to another kind.
+    """
     targets = ALL_TARGETS if include_full else DEFAULT_TARGETS
-    base = compile_query(aq.query)
+    base = original if original is not None else compile_query(aq.query)
+    written = plan_canonical(base)
     mutants: dict[str, JoinMutant] = {}
-    for plan, description in _mutate_plan_nodes(base, targets):
-        canonical = plan_canonical(plan)
-        if canonical == plan_canonical(base):
+    for victim in _joins(base):
+        if victim.kind is JoinKind.CROSS:
             continue
-        if canonical not in mutants:
-            mutants[canonical] = JoinMutant(plan, description, canonical)
+        kinds = set(targets) | {JoinKind.INNER}
+        kinds.discard(victim.kind)
+        for kind in sorted(kinds, key=lambda k: k.value):
+            plan = replace_node(base, victim, victim.with_kind(kind))
+            canonical = plan_canonical(plan)
+            if canonical == written:
+                continue
+            if canonical not in mutants:
+                mutants[canonical] = JoinMutant(
+                    plan, f"{victim.kind.value} -> {kind.value}", canonical
+                )
     return list(mutants.values())
 
 
@@ -189,8 +160,13 @@ def join_mutants(
     aq: AnalyzedQuery,
     include_full: bool = False,
     tree_cap: int = 20000,
+    original: PlanNode | None = None,
 ) -> list[JoinMutant]:
-    """The join-type mutant space appropriate for the query."""
+    """The join-type mutant space appropriate for the query.
+
+    ``original`` is the compiled query that outer-join mutants are
+    path-copied from (compiled here when not given).
+    """
     from repro.sql.ast import Star
 
     if len(aq.occurrences) < 2:
@@ -202,5 +178,5 @@ def join_mutants(
         # Outer joins are not freely reorderable; NATURAL joins under
         # SELECT * coalesce common columns, which reordered plans would
         # not — either way, mutate the written tree only.
-        return join_mutants_outer(aq, include_full)
+        return join_mutants_outer(aq, include_full, original)
     return join_mutants_inner(aq, include_full, tree_cap)

@@ -5,10 +5,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.analyze import AnalyzedQuery, analyze_query
-from repro.engine.plan import PlanNode
+from repro.engine.plan import PlanNode, compile_query
 from repro.mutation.aggregate import aggregate_mutants
 from repro.mutation.comparison import comparison_mutants
 from repro.mutation.jointype import join_mutants
+from repro.mutation.util import replace_where_conjunct
 from repro.schema.catalog import Schema
 from repro.sql.ast import Query
 from repro.sql.parser import parse_query
@@ -34,30 +35,23 @@ class Mutant:
 
 @dataclass
 class MutationSpace:
-    """All mutants of a query, grouped by kind."""
+    """All mutants of a query, grouped by kind.
+
+    ``original_plan`` is the original query's plan, compiled once per
+    space (when not given) and shared by every suite and dataset
+    evaluated against it.  :func:`enumerate_mutants` builds every mutant
+    by path-copying this plan (or, for inner-join queries, each join
+    order's plan), so the kill check's original run and its mutants
+    share subtree objects.
+    """
 
     analyzed: AnalyzedQuery
     mutants: list[Mutant] = field(default_factory=list)
-    #: Lazily compiled plan of the original query — see :attr:`original_plan`.
-    _original_plan: PlanNode | None = field(
-        default=None, repr=False, compare=False
-    )
+    original_plan: PlanNode | None = field(default=None, repr=False, compare=False)
 
-    @property
-    def original_plan(self) -> PlanNode:
-        """The original query's plan, compiled once per space.
-
-        Kill-check callers (``evaluate_suite``, the workload matrix, the
-        conformance harness, benchmarks) previously recompiled the
-        original for every evaluation pass; the space is the natural
-        owner — one compile per (query, mutation space), shared by every
-        suite and dataset evaluated against it.
-        """
-        if self._original_plan is None:
-            from repro.engine.plan import compile_query
-
-            self._original_plan = compile_query(self.analyzed.query)
-        return self._original_plan
+    def __post_init__(self) -> None:
+        if self.original_plan is None:
+            self.original_plan = compile_query(self.analyzed.query)
 
     def by_kind(self, kind: str) -> list[Mutant]:
         """Mutants of one kind ('join', 'comparison', 'aggregate', ...)."""
@@ -93,29 +87,24 @@ def enumerate_mutants(
             raise ValueError("schema is required unless an AnalyzedQuery is given")
         aq = analyze_query(parsed, schema)
     space = MutationSpace(aq)
+    original = space.original_plan
     if include_join:
-        for m in join_mutants(aq, include_full_outer, tree_cap):
+        for m in join_mutants(aq, include_full_outer, tree_cap, original):
             space.mutants.append(Mutant("join", m.plan, m.description))
     if include_comparison:
-        for m in comparison_mutants(aq):
+        for m in comparison_mutants(aq, original):
             space.mutants.append(Mutant("comparison", m.plan, m.description))
-        from repro.engine.plan import compile_query
-        from repro.mutation.util import replace_where_conjunct
-
         for info in aq.null_tests:
-            mutated = replace_where_conjunct(
-                aq.query, info.position, info.pred.flipped()
-            )
+            flipped = info.pred.flipped()
             space.mutants.append(
                 Mutant(
                     "nulltest",
-                    compile_query(mutated),
-                    f"where[{info.position}]: '{info.pred}' -> "
-                    f"'{info.pred.flipped()}'",
+                    replace_where_conjunct(original, info.position, flipped),
+                    f"where[{info.position}]: '{info.pred}' -> '{flipped}'",
                 )
             )
     if include_aggregate:
-        for m in aggregate_mutants(aq):
+        for m in aggregate_mutants(aq, original):
             space.mutants.append(Mutant("aggregate", m.plan, m.description))
     if include_join_conditions:
         from repro.mutation.joincond import (
@@ -123,9 +112,9 @@ def enumerate_mutants(
             wrong_attribute_mutants,
         )
 
-        for m in wrong_attribute_mutants(aq):
+        for m in wrong_attribute_mutants(aq, original):
             space.mutants.append(Mutant("joincond-wrong", m.plan, m.description))
-        for m in missing_conjunct_mutants(aq):
+        for m in missing_conjunct_mutants(aq, original):
             space.mutants.append(
                 Mutant("joincond-missing", m.plan, m.description)
             )

@@ -45,9 +45,17 @@ __all__ = [
     "JobQueue",
     "JobRequest",
     "JobState",
+    "MAX_FINISHED_JOBS",
     "build_payload",
     "request_key",
 ]
+
+#: Finished (done, failed or cancelled) jobs a queue keeps answering
+#: status and result requests for; beyond it the oldest finished job is
+#: forgotten and its id reads as unknown.  Pending and running jobs are
+#: never forgotten.  The suite cache still holds the result bytes under
+#: its own byte budget, so resubmitting the query is a cache hit.
+MAX_FINISHED_JOBS = 1024
 
 
 class JobState(enum.Enum):
@@ -221,6 +229,8 @@ class JobQueue:
         self._config_canon = canonical_config(self.config)
         self.max_sessions = max_sessions
         self._jobs: dict[str, Job] = {}
+        #: Ids of finished jobs still in ``_jobs``, oldest first.
+        self._finished: dict[str, None] = {}
         self._ids = itertools.count(1)
         self._lock = threading.Lock()
         self._pending: _queue.Queue = _queue.Queue()
@@ -287,11 +297,17 @@ class JobQueue:
                 return False
             job.state = JobState.CANCELLED
             job.finished_at = time.time()
+            self._retire(job)
         self.metrics.inc("xdata_service_jobs_cancelled_total")
         return True
 
     def wait(self, job_id: str, timeout: float | None = None) -> Job:
-        """Block until ``job_id`` finishes (poll-based; test helper)."""
+        """Block until ``job_id`` finishes (poll-based; test helper).
+
+        Raises:
+            KeyError: If the id is unknown — never issued, or finished
+                and since forgotten (:data:`MAX_FINISHED_JOBS`).
+        """
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
             job = self.get(job_id)
@@ -308,7 +324,10 @@ class JobQueue:
         with self._lock:
             ids = list(self._jobs)
         for job_id in ids:
-            self.wait(job_id, timeout)
+            try:
+                self.wait(job_id, timeout)
+            except KeyError:
+                pass  # finished and forgotten while we waited on others
 
     def close(self) -> None:
         """Stop the workers (pending jobs are abandoned) and the journal."""
@@ -507,10 +526,21 @@ class JobQueue:
     # bookkeeping
     # ------------------------------------------------------------------
 
+    def _retire(self, job: Job) -> None:
+        """Record ``job`` as finished and forget the oldest finished jobs
+        beyond :data:`MAX_FINISHED_JOBS` (caller holds the lock)."""
+        self._finished[job.id] = None
+        while len(self._finished) > MAX_FINISHED_JOBS:
+            oldest = next(iter(self._finished))
+            del self._finished[oldest]
+            self._jobs.pop(oldest, None)
+
     def _finish(self, job: Job, state: JobState, error: str | None = None) -> None:
         job.state = state
         job.error = error
         job.finished_at = time.time()
+        with self._lock:
+            self._retire(job)
         if job.started_at is not None:
             self.metrics.observe(
                 "xdata_service_job_seconds", job.finished_at - job.started_at

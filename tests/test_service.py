@@ -24,6 +24,8 @@ from repro.service import JobQueue, JobRequest, JobState, Service, SuiteCache
 from repro.service.cache import canonical_bytes
 from repro.service.jobs import request_key
 
+jobs_module = importlib.import_module("repro.service.jobs")
+
 # The module, not the ``fingerprint`` function the package re-exports.
 fingerprint_module = importlib.import_module("repro.service.fingerprint")
 
@@ -272,6 +274,78 @@ class TestJobQueueLifecycle:
         assert request_key(fp, "evaluate", None) == request_key(
             fp, "evaluate", repro.EvalOptions()
         )
+
+
+class TestFinishedJobRetention:
+    """A queue keeps at most ``MAX_FINISHED_JOBS`` finished jobs, so the
+    result bytes it holds stay bounded however many jobs it runs."""
+
+    @staticmethod
+    def distinct_queries(count: int) -> list[str]:
+        return [f"SELECT e.id FROM emp e WHERE e.salary > {k}" for k in range(count)]
+
+    def test_distinct_queries_hold_bounded_result_bytes(self, monkeypatch):
+        monkeypatch.setattr(jobs_module, "MAX_FINISHED_JOBS", 8)
+        queue = sync_queue(cache=SuiteCache(max_bytes=20_000))
+        submitted = [
+            queue.submit(JobRequest(DDL, sql)) for sql in self.distinct_queries(60)
+        ]
+        assert all(job.state is JobState.DONE for job in submitted)
+        largest = max(len(job.result) for job in submitted)
+        held = [job for job in submitted if queue.get(job.id) is not None]
+        assert held == submitted[-8:], "the newest finished jobs are kept"
+        assert sum(len(job.result) for job in held) <= 8 * largest
+        assert sum(len(job.result) for job in submitted) > 8 * largest
+        queue.close()
+
+    def test_evicted_id_reads_as_unknown(self, monkeypatch):
+        monkeypatch.setattr(jobs_module, "MAX_FINISHED_JOBS", 1)
+        queue = sync_queue()
+        first = queue.submit(JobRequest(DDL, SQL))
+        queue.submit(JobRequest(DDL, SQL_OTHER))
+        assert queue.get(first.id) is None
+        assert queue.cancel(first.id) is False
+        with pytest.raises(KeyError):
+            queue.wait(first.id, timeout=1.0)
+        queue.close()
+
+    def test_pending_jobs_are_never_evicted(self, monkeypatch):
+        monkeypatch.setattr(jobs_module, "MAX_FINISHED_JOBS", 1)
+        queue = sync_queue()
+        queue._threads = [object()]  # enqueue without executing
+        pending = [queue.submit(JobRequest(DDL, sql)) for sql in (SQL, SQL_OTHER)]
+        queue._threads = []
+        assert queue.cancel(pending[0].id)
+        queue._execute(pending[1])
+        # One finished job fits: the cancelled one gave way to the newer.
+        assert queue.get(pending[0].id) is None
+        assert queue.get(pending[1].id) is pending[1]
+        queue.close()
+
+    def test_drain_tolerates_ids_evicted_mid_drain(self, monkeypatch):
+        monkeypatch.setattr(jobs_module, "MAX_FINISHED_JOBS", 2)
+        queue = JobQueue(workers=2)
+        try:
+            submitted = [
+                queue.submit(JobRequest(DDL, sql)) for sql in self.distinct_queries(8)
+            ]
+            queue.drain(timeout=120.0)
+            assert all(job.state is JobState.DONE for job in submitted)
+            assert len(queue._jobs) <= 2
+        finally:
+            queue.close()
+
+    def test_evicted_job_is_a_404_over_http(self, monkeypatch):
+        monkeypatch.setattr(jobs_module, "MAX_FINISHED_JOBS", 1)
+        with Service(port=0, workers=1) as svc:
+            first = _post_job(svc, {"schema": DDL, "query": SQL})
+            _wait_done(svc, first["id"])
+            second = _post_job(svc, {"schema": DDL, "query": SQL_OTHER})
+            _wait_done(svc, second["id"])
+            for suffix in ("", "/result"):
+                with pytest.raises(urllib.error.HTTPError) as info:
+                    urllib.request.urlopen(f"{svc.url}/v1/jobs/{first['id']}{suffix}")
+                assert info.value.code == 404
 
 
 class TestJobQueueJournal:

@@ -16,6 +16,11 @@ from __future__ import annotations
 import pytest
 
 from repro.core import XDataGenerator
+from repro.datasets.university import (
+    UNIVERSITY_QUERIES,
+    university_sample_database,
+    university_schema,
+)
 from repro.engine.database import Database
 from repro.engine.executor import execute_plan
 from repro.engine.plan import (
@@ -201,6 +206,32 @@ class TestDatasetIsolation:
         assert 0.0 <= stats["hit_rate"] <= 1.0
 
 
+    def test_peak_bytes_is_the_largest_one_dataset_batch(
+        self, uni_schema_nofk, uni_db
+    ):
+        """``peak_bytes`` reports the live working set, not the total:
+        the largest sum stored for one dataset between drops."""
+        suite = XDataGenerator(uni_schema_nofk).generate(KILLCHECK_CORPUS[1])
+        space = enumerate_mutants(suite.analyzed)
+        databases = suite.databases + [uni_db]
+        per_dataset = [
+            evaluate_suite(space, [db]).cache_stats["bytes"] for db in databases
+        ]
+        stats = evaluate_suite(space, databases).cache_stats
+        assert stats["bytes"] == sum(per_dataset)
+        assert stats["peak_bytes"] == max(per_dataset)
+        assert stats["peak_bytes"] <= stats["bytes"]
+        assert len(set(per_dataset)) > 1, "datasets of different sizes"
+
+    def test_peak_bytes_counts_an_undropped_batch(self, tiny_db):
+        plan = compile_query(parse_query("SELECT r.a FROM r"))
+        cache = SubplanCache()
+        execute_plan(plan, tiny_db, cache)
+        assert cache.stats()["peak_bytes"] == cache.bytes_stored > 0
+        cache.drop_dataset(tiny_db)
+        assert cache.peak_bytes == cache.bytes_stored
+
+
 class TestCachedUncachedEquivalence:
     @pytest.mark.parametrize(
         "sql", KILLCHECK_CORPUS, ids=range(len(KILLCHECK_CORPUS))
@@ -221,6 +252,27 @@ class TestCachedUncachedEquivalence:
         assert cached.cache_stats is not None
         assert cached.cache_stats["hits"] > 0
         assert uncached.cache_stats is None
+
+
+    @pytest.mark.slow
+    def test_table12_kill_matrices_identical_with_sample_instance(self):
+        """The end-to-end equivalence check of the §5g cache: every Table
+        I/II query over the university schema, full mutation space (full
+        outer included), its generated suite plus the bundled sample
+        instance — cached and uncached kill matrices are identical."""
+        schema = university_schema()
+        sample = university_sample_database(schema)
+        for name, info in UNIVERSITY_QUERIES.items():
+            suite = XDataGenerator(schema).generate(info["sql"])
+            space = enumerate_mutants(suite.analyzed, include_full_outer=True)
+            databases = suite.databases + [sample]
+            cached = evaluate_suite(space, databases)
+            uncached = evaluate_suite(
+                space, databases, config=KillCheckConfig.uncached()
+            )
+            assert [o.killed_by for o in cached.outcomes] == [
+                o.killed_by for o in uncached.outcomes
+            ], name
 
 
 class TestVerdictShortCut:
