@@ -100,8 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
             action="store_true",
             help="ablation: compile every kill group's constraint system "
             "from scratch instead of delta-solving against the compiled "
-            "query skeleton (the datasets are byte-identical; see "
-            "benchmarks/bench_parallel.py)",
+            "query skeleton (the datasets are byte-identical)",
         )
         cmd.add_argument(
             "--workers",

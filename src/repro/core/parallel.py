@@ -29,28 +29,38 @@ database-constraint cache.
 multi-query workloads: one task per query, each worker running the full
 sequential pipeline for its queries.
 
-The process pool is created lazily and kept alive for the life of the
-parent process: pool start-up (fork + pipe setup) costs tens of
-milliseconds, comparable to a whole solve for small queries, so paying
-it once per process instead of once per ``generate()`` call is what
-makes spec-level parallelism profitable for workload-sized batches.
+One process pool, one lifecycle.  :class:`SupervisedPool` is the only
+owner of an executor; the campaign driver holds its own, and every
+generation batch goes through :func:`_run_batch`, which shares one
+module-level instance.  That pool is created lazily and kept alive for
+the life of the parent process: pool start-up (fork + pipe setup) costs
+tens of milliseconds, comparable to a whole solve for small queries, so
+paying it once per process instead of once per ``generate()`` call is
+what makes spec-level parallelism profitable for workload-sized
+batches.  A batch that needs more workers than the pool has kills it
+and starts a bigger one; :func:`shutdown_pool` closes it.
 
 Failure isolation (DESIGN.md §5d).  Each item is submitted as its own
-future, so one poisoned task cannot take a whole ``map`` batch down
-with it:
+future, so one poisoned task cannot take a whole batch down with it:
 
 * task-level exceptions are captured *inside* the worker into picklable
   results (an error :class:`SkippedTarget` for specs, a
   :class:`FailedSuite` for whole queries) unless ``config.fail_fast``;
 * a worker crash (or pool-creation failure) breaks only the futures
   without results; the batch emits a
-  :class:`~repro.errors.PoolDegradedWarning`, marks itself degraded and
-  resumes **only the unfinished indices** sequentially in the parent —
-  completed results are never re-solved;
+  :class:`~repro.errors.PoolDegradedWarning`, kills the pool, marks
+  itself degraded and resumes **only the unfinished indices**
+  sequentially in the parent — completed results are never re-solved;
 * an optional deadline bounds every wait, so a hung worker degrades the
-  run instead of hanging it (the hung process is abandoned with the
-  discarded pool; specs still unfinished when the deadline passes come
-  back as ``None`` for the caller to budget-skip).
+  run instead of hanging it: the batch kills the pool (the hung worker
+  is SIGKILLed, not left running), and specs still unfinished when the
+  deadline passes come back as ``None`` for the caller to budget-skip;
+* concurrent batches (service threads) share the pool, so one batch's
+  kill (or growth) breaks or cancels another's futures; that batch
+  resumes its unfinished items sequentially, exactly as after a crash;
+* anything else escaping a pooled batch (``KeyboardInterrupt``, a
+  fail-fast error) kills the pool before it propagates: workers ignore
+  SIGINT, and a live one would hold up interpreter exit.
 
 Degradation is loud but lossless — parallelism is a throughput lever,
 never a correctness requirement.
@@ -63,9 +73,10 @@ import functools
 import itertools
 import os
 import signal
+import threading
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import CancelledError, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as _FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
@@ -91,11 +102,6 @@ def effective_workers(
         limit = min(limit, os.cpu_count() or 1)
     return max(1, limit)
 
-#: The shared executor, grown on demand, alive until :func:`shutdown_pool`
-#: or interpreter exit (concurrent.futures joins workers atexit).
-_POOL: ProcessPoolExecutor | None = None
-_POOL_WORKERS = 0
-
 #: Parent-side dispatch tokens; workers key their memoized state on the
 #: token so successive dispatches (different schemas, configs, queries)
 #: through the same long-lived pool never mix state.
@@ -106,52 +112,26 @@ _WORKER_STATE: dict = {}
 _WORKER_STATE_LIMIT = 8
 
 
-def _get_pool(workers: int) -> ProcessPoolExecutor:
-    global _POOL, _POOL_WORKERS
-    if _POOL is None or _POOL_WORKERS < workers:
-        if _POOL is not None:
-            _POOL.shutdown(wait=False)
-        _POOL = ProcessPoolExecutor(max_workers=workers)
-        _POOL_WORKERS = workers
-    return _POOL
-
-
-def _discard_pool(cancel: bool = False) -> None:
-    global _POOL, _POOL_WORKERS
-    if _POOL is not None and cancel:
-        _POOL.shutdown(wait=False, cancel_futures=True)
-    _POOL = None
-    _POOL_WORKERS = 0
-
-
-def shutdown_pool() -> None:
-    """Stop the shared worker pool (it restarts lazily on next use)."""
-    global _POOL
-    if _POOL is not None:
-        _POOL.shutdown(wait=True)
-    _discard_pool()
-
-
 class SupervisedPool:
     """A process pool whose workers can be hard-killed and respawned.
 
-    The campaign driver (``repro.campaign``) needs something the shared
-    batch pool deliberately does not offer: a *watchdog* path that kills
-    a stuck worker outright (``SIGKILL``, not cooperative cancellation)
-    and keeps scheduling on a fresh pool, because a hung case must cost
-    one deadline, never the campaign.  The executor is created lazily on
-    first :meth:`submit` and transparently recreated after :meth:`kill`,
-    so callers treat it as an immortal submit surface.
-
-    Unlike the module-level shared pool, a ``SupervisedPool`` is owned
-    by one scheduler; killing it cannot disturb concurrent
-    ``generate()`` fan-outs.
+    The one owner of an executor in the package.  The campaign driver
+    (``repro.campaign``) owns one per campaign; generation fan-out
+    shares the module-level one behind :func:`_run_batch`.  Both need
+    the same thing from it: a path that kills a stuck or broken pool
+    outright (``SIGKILL``, not cooperative cancellation) and keeps
+    scheduling on a fresh one, because a hung task must cost one
+    deadline, never the caller.  The executor is created lazily on
+    first :meth:`submit` and transparently recreated after
+    :meth:`kill`, so callers treat it as an immortal submit surface.
     """
 
     def __init__(self, workers: int):
         self.workers = max(1, workers)
         self._executor: ProcessPoolExecutor | None = None
-        #: Pools killed by the watchdog so far (telemetry).
+        #: Executors killed so far.  Also the pool's generation: a
+        #: batch that saw it unchanged since its submit knows the
+        #: executor it used is still the live one.
         self.kills = 0
 
     def _ensure(self) -> ProcessPoolExecutor:
@@ -168,9 +148,10 @@ class SupervisedPool:
     def kill(self) -> None:
         """SIGKILL every worker process and discard the executor.
 
-        In-flight futures fail with :class:`BrokenProcessPool` (or stay
-        cancelled); the caller is expected to requeue the tasks it still
-        cares about.  The next :meth:`submit` starts a fresh pool.
+        In-flight futures fail with :class:`BrokenProcessPool` and
+        queued ones are cancelled; the caller is expected to requeue the
+        tasks it still cares about.  The next :meth:`submit` starts a
+        fresh pool.
         """
         executor = self._executor
         self._executor = None
@@ -197,6 +178,49 @@ class SupervisedPool:
         self.close()
 
 
+#: The generation fan-out's pool: created by the first pooled batch,
+#: replaced by a bigger one when a batch needs more workers, alive until
+#: :func:`shutdown_pool` or interpreter exit.  Every lookup, submit and
+#: kill of it holds :data:`_BATCH_LOCK`, so concurrent batches (service
+#: threads) never submit to an executor another batch is killing.
+_BATCH_POOL: SupervisedPool | None = None
+_BATCH_LOCK = threading.Lock()
+
+
+def _batch_pool(workers: int) -> SupervisedPool:
+    """The shared pool, at least ``workers`` wide.  Caller holds the lock."""
+    global _BATCH_POOL
+    if _BATCH_POOL is None or _BATCH_POOL.workers < workers:
+        if _BATCH_POOL is not None:
+            # Killed, not left to finish: a batch still waiting on the
+            # old pool could no longer reach a hung worker there.  Such
+            # batches resume in-process, as after a crash.
+            _BATCH_POOL.kill()
+        _BATCH_POOL = SupervisedPool(workers)
+    return _BATCH_POOL
+
+
+def _kill_batch_pool(pool: SupervisedPool, generation: int) -> None:
+    """Kill ``pool`` unless it was killed since ``generation`` was read.
+
+    Every batch that shared a broken or killed executor sees the
+    failure; only the first kills, so the fresh executor a third batch
+    may already be using survives.
+    """
+    with _BATCH_LOCK:
+        if pool.kills == generation:
+            pool.kill()
+
+
+def shutdown_pool() -> None:
+    """Stop the shared worker pool (it restarts lazily on next use)."""
+    global _BATCH_POOL
+    with _BATCH_LOCK:
+        pool, _BATCH_POOL = _BATCH_POOL, None
+    if pool is not None:
+        pool.close()
+
+
 def _supervised_worker_signals() -> None:
     """Undo the owner's drain handlers in a forked worker.
 
@@ -206,6 +230,8 @@ def _supervised_worker_signals() -> None:
     to its process group.  So SIGTERM ends a worker; SIGINT, which a
     terminal sends to the whole foreground group, is ignored so that
     Ctrl-C drains the round in the driver instead of killing its workers.
+    A generation batch interrupted by Ctrl-C kills the pool itself
+    (:func:`_run_batch`).
     """
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.signal(signal.SIGINT, signal.SIG_IGN)
@@ -386,18 +412,20 @@ def _run_batch(
             outcome.results[index] = task(arg)
         return outcome
 
-    futures = None
+    pool = None
+    generation = 0
+    broken = timed_out = False
     try:
-        pool = _get_pool(pool_size)
-        outcome.submitted_at = time.time()
-        futures = [pool.submit(task, arg) for arg in args]
-    except (OSError, BrokenProcessPool) as exc:
-        _warn_degraded(f"could not dispatch to the pool ({exc!r})")
-        _discard_pool()
-
-    broken = futures is None
-    timed_out = False
-    if futures is not None:
+        futures = []
+        try:
+            with _BATCH_LOCK:
+                pool = _batch_pool(pool_size)
+                generation = pool.kills
+                outcome.submitted_at = time.time()
+                futures = [pool.submit(task, arg) for arg in args]
+        except (OSError, BrokenProcessPool) as exc:
+            _warn_degraded(f"could not dispatch to the pool ({exc!r})")
+            broken = True
         for index, future in enumerate(futures):
             remaining = None
             if deadline is not None:
@@ -408,21 +436,30 @@ def _run_batch(
                 if not timed_out:
                     _warn_degraded(
                         "batch deadline expired while waiting on a worker; "
-                        "abandoning the pool"
+                        "killing the pool"
                     )
                 timed_out = True
                 # Keep scanning with zero timeout: later futures that
                 # already finished still surface their results.
-            except (OSError, BrokenProcessPool) as exc:
+            except (OSError, BrokenProcessPool, CancelledError) as exc:
+                # Cancelled means another batch killed the shared pool
+                # while this item was queued: the same loss as a crash.
                 if not broken:
                     _warn_degraded(f"worker pool broke mid-batch ({exc!r})")
                 broken = True
                 # Keep scanning: futures completed before the break
                 # still hold results and must not be re-solved.
-        if timed_out or broken:
-            _discard_pool(cancel=True)
+    except BaseException:
+        # KeyboardInterrupt, or a fail-fast task error.  Workers ignore
+        # SIGINT, so a worker left running would outlive the interrupt
+        # and hold up interpreter exit until its task ends.
+        if pool is not None:
+            _kill_batch_pool(pool, generation)
+        raise
 
     if broken or timed_out:
+        # SIGKILL, not abandonment: a hung worker must not keep running.
+        _kill_batch_pool(pool, generation)
         outcome.degraded = True
         for index, arg in enumerate(args):
             if outcome.results[index] is not None or expired():
@@ -455,68 +492,6 @@ def solve_specs_parallel(
     return _run_batch(task, list(range(count)), workers, deadline)
 
 
-def _generate_job_task(token: int, payload: tuple, job: tuple[int, str]):
-    state = _worker_state(token, payload)
-    schema_index, sql = job
-    generators = state["derived"].setdefault("generators", {})
-    generator = generators.get(schema_index)
-    if generator is None:
-        from repro.core.generator import XDataGenerator
-
-        config, schemas = state["payload"]
-        generator = XDataGenerator(schemas[schema_index], config)
-        generators[schema_index] = generator
-    try:
-        return generator.generate(sql)
-    except Exception as exc:
-        if generator.config.fail_fast:
-            raise
-        return FailedSuite(sql, type(exc).__name__, str(exc))
-
-
-def _flag_degraded_suites(results: list) -> None:
-    """Stamp pool degradation on every real suite of a degraded batch."""
-    for suite in results:
-        if suite is not None and not isinstance(suite, FailedSuite):
-            suite.health.pool_degraded = True
-
-
-def generate_jobs_parallel(
-    jobs: list[tuple[Schema, str]], config, workers: int,
-    cap_to_cpus: bool = True,
-) -> list:
-    """One result per ``(schema, sql)`` job, across the shared pool.
-
-    The flat-batch entry point for workload-scale fan-out (many queries
-    over many schema variants, as in a grading service).  Schemas are
-    deduplicated (by identity) and shipped once in the task payload;
-    workers keep one generator per schema so declaration caches warm up
-    across the jobs they handle.  Results arrive in job order; a
-    failing query yields a :class:`FailedSuite` (with
-    ``config.fail_fast`` it raises instead), and pool failures degrade
-    to a sequential resume of the unfinished jobs with a
-    :class:`PoolDegradedWarning` and ``health.pool_degraded`` set on
-    the batch's suites.
-    """
-    schemas: list[Schema] = []
-    schema_index: dict[int, int] = {}
-    indexed_jobs: list[tuple[int, str]] = []
-    for schema, sql in jobs:
-        index = schema_index.get(id(schema))
-        if index is None:
-            index = schema_index[id(schema)] = len(schemas)
-            schemas.append(schema)
-        indexed_jobs.append((index, sql))
-    pool_size = effective_workers(workers, len(jobs), cap_to_cpus)
-    payload = (_sequential_config(config, strip_journal=True), tuple(schemas))
-    token = next(_TOKENS)
-    task = functools.partial(_generate_job_task, token, payload)
-    outcome = _run_batch(task, indexed_jobs, pool_size)
-    if outcome.degraded:
-        _flag_degraded_suites(outcome.results)
-    return outcome.results
-
-
 def generate_suites_parallel(
     schema: Schema, queries: dict[str, str], config, workers: int,
     cap_to_cpus: bool = True,
@@ -539,5 +514,7 @@ def generate_suites_parallel(
     task = functools.partial(_generate_suite_task, token, payload)
     outcome = _run_batch(task, sqls, pool_size)
     if outcome.degraded:
-        _flag_degraded_suites(outcome.results)
+        for suite in outcome.results:
+            if suite is not None and not isinstance(suite, FailedSuite):
+                suite.health.pool_degraded = True
     return dict(zip(names, outcome.results))

@@ -494,6 +494,25 @@ class TestDriver:
         with pytest.raises(ValueError, match="seed"):
             CampaignDriver(other, resume=True).run()
 
+    def test_results_identical_across_pool_widths(self, tmp_path):
+        """Every pool width completes the same campaign with the same
+        counters, bugs and corpus as a single worker: results are
+        applied in case order, never completion order."""
+        reports = {}
+        for workers in (1, 2, 4):
+            config = _config(
+                tmp_path, dir=str(tmp_path / f"workers{workers}"),
+                seed=1234, cases=48, round_size=8, workers=workers,
+                case_deadline=120.0,
+            )
+            report = CampaignDriver(config).run()
+            assert report["completed"], f"workers={workers}"
+            reports[workers] = (
+                report["stats"], report["bugs"], report["corpus_size"]
+            )
+        assert reports[2] == reports[1]
+        assert reports[4] == reports[1]
+
     def test_worker_crash_is_requeued_and_survived(
         self, tmp_path, monkeypatch
     ):

@@ -12,6 +12,11 @@ that every non-degraded dataset is byte-identical to an uninjected run.
 
 from __future__ import annotations
 
+import os
+import signal
+import subprocess
+import sys
+import threading
 import time
 
 import pytest
@@ -68,6 +73,73 @@ def _isolated_faults(monkeypatch):
 @pytest.fixture
 def baseline():
     return XDataGenerator(_schema(), GenConfig()).generate(SQL)
+
+
+_HAS_PROC = os.path.isdir("/proc/self")
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` is still a live (non-zombie) process."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            stat = handle.read()
+    except OSError:  # gone, or exiting while read (ESRCH)
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+def _worker_pids(log, spec_index=None) -> set[int]:
+    """Pids that logged a worker-side (``w``) solve attempt."""
+    pids = set()
+    for line in log.read_text().splitlines():
+        pid, role, index = line.split(":")
+        if role == "w" and spec_index in (None, int(index)):
+            pids.add(int(pid))
+    return pids
+
+
+def _wait_until_gone(pids, seconds: float) -> set[int]:
+    """Poll until no pid in ``pids`` runs; returns the survivors."""
+    deadline = time.monotonic() + seconds
+    while True:
+        survivors = {pid for pid in pids if _running(pid)}
+        if not survivors or time.monotonic() > deadline:
+            return survivors
+        time.sleep(0.05)
+
+
+def _spec_view(result):
+    """A spec result as observable bytes: dataset or skip reason."""
+    if result.dataset is not None:
+        return result.dataset.db.pretty(only_nonempty=False)
+    return (result.skipped.target, result.skipped.reason)
+
+
+def _in_process_views() -> list:
+    """Every spec of ``SQL`` solved in-process, as :func:`_spec_view`s."""
+    outcome = solve_specs_parallel(_schema(), SQL, GenConfig(), SPEC_COUNT)
+    return [_spec_view(result) for result in outcome.results]
+
+
+def _batch_thread(outcomes: dict, key, workers: int, deadline_s=None):
+    """A thread running one pooled batch of ``SQL`` (``deadline_s`` after
+    it starts, if given); its outcome, or what it raised, lands in
+    ``outcomes[key]``."""
+
+    def run() -> None:
+        deadline = (
+            None if deadline_s is None
+            else time.perf_counter() + deadline_s
+        )
+        try:
+            outcomes[key] = solve_specs_parallel(
+                _schema(), SQL, GenConfig(workers=workers), SPEC_COUNT,
+                cap_to_cpus=False, deadline=deadline,
+            )
+        except BaseException as exc:  # the test asserts on it
+            outcomes[key] = exc
+
+    return threading.Thread(target=run)
 
 
 def _fresh_pool_env(monkeypatch, plan, log=None):
@@ -292,10 +364,12 @@ class TestPoolIsolation:
                 parent_specs.add(int(index))
         assert parent_specs == set(outcome.resumed)
 
-    def test_hung_worker_times_out(self, monkeypatch):
+    def test_hung_worker_times_out(self, monkeypatch, tmp_path):
         """A batch deadline bounds the wait on a hung worker; the hung
-        spec comes back unfinished (None) instead of hanging the run."""
-        _fresh_pool_env(monkeypatch, "1:sleep:5")
+        spec comes back unfinished (None) instead of hanging the run,
+        and the hung worker is killed rather than left sleeping."""
+        log = tmp_path / "faults.log"
+        _fresh_pool_env(monkeypatch, "1:sleep:5", log=log)
         config = GenConfig(workers=4)
         deadline = time.perf_counter() + 1.5
         with pytest.warns(PoolDegradedWarning):
@@ -309,6 +383,123 @@ class TestPoolIsolation:
         # so it stays None — the caller budget-skips it.
         assert outcome.results[1] is None
         assert outcome.results[0] is not None
+        if _HAS_PROC:
+            hung = _worker_pids(log, spec_index=1)
+            assert len(hung) == 1
+            # Well before its 5 s sleep ends, the worker must be gone.
+            assert _wait_until_gone(hung, 2.0) == set()
+
+    def test_concurrent_batches_survive_a_kill(self, monkeypatch):
+        """One batch's deadline kills the shared pool under two other
+        batches; they resume their unfinished specs in-process (a
+        cancelled queued future is a crash, not an error) and return
+        exactly the in-process results."""
+        expected = _in_process_views()
+        _fresh_pool_env(monkeypatch, "1:sleep:3")
+        outcomes: dict = {}
+        threads = [
+            _batch_thread(outcomes, slot, 2, deadline_s)
+            for slot, deadline_s in enumerate((1.0, None, None))
+        ]
+        with pytest.warns(PoolDegradedWarning):
+            # The deadline batch starts the shared pool; the other two
+            # queue behind it on the same executor.
+            threads[0].start()
+            time.sleep(0.3)
+            for thread in threads[1:]:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(outcomes) == [0, 1, 2]
+        raised = [o for o in outcomes.values() if isinstance(o, BaseException)]
+        assert raised == []
+        assert outcomes[0].results[1] is None
+        for slot in (1, 2):
+            results = outcomes[slot].results
+            assert all(result is not None for result in results)
+            assert [_spec_view(result) for result in results] == expected
+
+    def test_growth_kills_the_old_pool(self, monkeypatch, tmp_path):
+        """A wider batch replaces the shared pool by killing it: the
+        narrower batch's hung worker dies with it (left to finish, it
+        would be out of reach of that batch's deadline kill), and the
+        narrower batch resumes in-process instead of failing."""
+        expected = _in_process_views()
+        log = tmp_path / "faults.log"
+        _fresh_pool_env(monkeypatch, "1:sleep:3", log=log)
+        outcomes: dict = {}
+        narrow = _batch_thread(outcomes, "narrow", 2, 1.5)
+        wide = _batch_thread(outcomes, "wide", 3)
+        with pytest.warns(PoolDegradedWarning):
+            narrow.start()
+            deadline = time.monotonic() + 30
+            while not (log.exists() and _worker_pids(log, spec_index=1)):
+                assert time.monotonic() < deadline, "no worker ever started"
+                time.sleep(0.05)
+            hung = _worker_pids(log, spec_index=1)
+            wide.start()
+            if _HAS_PROC:
+                # Well before its 3 s sleep ends.
+                assert _wait_until_gone(hung, 1.0) == set()
+            narrow.join(timeout=60)
+            wide.join(timeout=60)
+        assert not narrow.is_alive() and not wide.is_alive()
+        assert outcomes["narrow"].degraded
+        results = outcomes["wide"].results
+        assert [_spec_view(result) for result in results] == expected
+
+
+class TestInterrupt:
+    SQL = "SELECT * FROM instructor i, teaches t WHERE i.id = t.id"
+
+    @pytest.mark.skipif(
+        (os.cpu_count() or 1) < 2, reason="the CLI caps --workers to the CPUs"
+    )
+    def test_ctrl_c_ends_pooled_generate_promptly(self, tmp_path):
+        """SIGINT to the CLI parent alone (pool workers ignore SIGINT)
+        must end a pooled generate at once and take its workers along,
+        not wait for a sleeping worker's task to finish."""
+        log = tmp_path / "faults.log"
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env["PYTHONPATH"] = os.path.abspath(src)
+        env[faults.FAULTS_ENV] = "1:sleep:30"
+        env[faults.LOG_ENV] = str(log)
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro.cli", "generate",
+                "--university", "--workers", "2", self.SQL,
+            ],
+            env=env,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+            # Own group for cleanup; SIGINT at its default, as when
+            # started from a terminal.
+            start_new_session=True,
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
+        )
+        try:
+            deadline = time.monotonic() + 120
+            while not (log.exists() and _worker_pids(log)):
+                assert proc.poll() is None, "generate exited before pooling"
+                assert time.monotonic() < deadline, "no worker ever started"
+                time.sleep(0.05)
+            proc.send_signal(signal.SIGINT)
+            started = time.monotonic()
+            try:
+                proc.wait(timeout=5)
+            except subprocess.TimeoutExpired:
+                pytest.fail("generate still running 5 s after SIGINT")
+            assert time.monotonic() - started < 5
+            if _HAS_PROC:
+                assert _wait_until_gone(_worker_pids(log), 1.0) == set()
+        finally:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            proc.wait(timeout=60)
 
 
 class TestWorkloadIsolation:

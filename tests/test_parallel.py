@@ -11,18 +11,21 @@ even on single-core machines.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.core.generator import GenConfig, XDataGenerator
 from repro.core.parallel import (
+    FailedSuite,
     effective_workers,
-    generate_jobs_parallel,
     generate_suites_parallel,
     shutdown_pool,
 )
 from repro.datasets import UNIVERSITY_QUERIES
 from repro.schema.catalog import Column, Schema, Table
 from repro.schema.types import SqlType
+from repro.solver.search import SearchConfig
 from tests.workload import schema_teaches_fk, suite_fingerprint, uni_query
 
 _fingerprint = suite_fingerprint
@@ -39,6 +42,33 @@ def _pk_group_schema():
             )
         ]
     )
+
+
+def _pooled_by_schema(jobs, config):
+    """One suite per ``(schema, sql)`` job, in job order: one
+    :func:`generate_suites_parallel` batch per schema variant, on four
+    real worker processes."""
+    batches: dict[int, tuple[Schema, list[int]]] = {}
+    for index, (schema, _sql) in enumerate(jobs):
+        batches.setdefault(id(schema), (schema, []))[1].append(index)
+    suites = [None] * len(jobs)
+    for schema, indices in batches.values():
+        queries = {str(index): jobs[index][1] for index in indices}
+        pooled = generate_suites_parallel(
+            schema, queries, config, 4, cap_to_cpus=False
+        )
+        for index in indices:
+            suites[index] = pooled[str(index)]
+    assert not any(isinstance(suite, FailedSuite) for suite in suites)
+    return suites
+
+
+def _dataset_scripts(suites) -> list[str]:
+    return [
+        dataset.db.pretty(only_nonempty=False)
+        for suite in suites
+        for dataset in suite.datasets
+    ]
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -90,7 +120,7 @@ class TestSpecFanoutDeterminism:
 
 
 class TestPooledBatchDeterminism:
-    """generate_jobs_parallel with real worker processes (cap bypassed)."""
+    """generate_suites_parallel with real worker processes (cap bypassed)."""
 
     def test_university_workload_identical(self, table12_jobs):
         jobs = table12_jobs
@@ -99,7 +129,7 @@ class TestPooledBatchDeterminism:
             XDataGenerator(schema, config).generate(sql)
             for schema, sql in jobs
         ]
-        pooled = generate_jobs_parallel(jobs, config, 4, cap_to_cpus=False)
+        pooled = _pooled_by_schema(jobs, config)
 
         assert len(pooled) == len(sequential)
         for seq_suite, par_suite in zip(sequential, pooled):
@@ -138,3 +168,24 @@ class TestWorkloadEntryPoint:
         assert [
             d.db.pretty(only_nonempty=False) for d in sequential.datasets
         ] == [d.db.pretty(only_nonempty=False) for d in parallel.datasets]
+
+
+@pytest.mark.slow
+class TestDeltaParity:
+    """Delta solving is an amortization, never an approximation
+    (DESIGN.md §5j): on the pool, over every Table I/II query at every
+    Table I foreign-key variant with join-condition datasets included,
+    the datasets are byte-identical with delta solving on and off."""
+
+    def test_pooled_datasets_identical_delta_on_and_off(self, table12_jobs):
+        delta = GenConfig(include_join_condition_datasets=True)
+        full = dataclasses.replace(
+            delta, solver=SearchConfig(delta_solve=False)
+        )
+        reference = _dataset_scripts(_pooled_by_schema(table12_jobs, full))
+        assert reference
+        # Twice: cold worker stores, then the warm skeleton and
+        # declaration stores a repeat request meets.
+        for _round in range(2):
+            scripts = _dataset_scripts(_pooled_by_schema(table12_jobs, delta))
+            assert scripts == reference

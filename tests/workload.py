@@ -3,7 +3,7 @@
 The paper's evaluation workload — every Table I/II university query at
 every Table I foreign-key variant — used to be rebuilt by hand in
 ``test_parallel.py``, ``test_killcheck.py``, ``test_subplan_cache.py``
-and ``benchmarks/bench_parallel.py``, each with its own copy of the
+and a parallel benchmark script, each with its own copy of the
 schema-cache loop.  This module is the single source: tests import the
 builders (or use the ``table12_jobs`` fixture from ``conftest.py``) so
 the workload definition cannot drift between the differential suites
