@@ -9,9 +9,9 @@ Three call shapes cover the common workflows, each accepting a
 * :func:`evaluate` — generate, enumerate mutants, and score the suite's
   killing power in one call.
 
-For repeated calls against one schema — a grading session, the service
-layer — :class:`Session` holds the parsed schema, generator, backend
-handle and a fingerprint-keyed suite cache across calls::
+For repeated calls against one schema — a grading session —
+:class:`Session` holds the parsed schema, generator, backend handle and
+a fingerprint-keyed suite cache across calls::
 
     with repro.Session(ddl) as session:
         for submission in submissions:
@@ -47,7 +47,7 @@ from repro.core.generator import (
 from repro.engine.database import Database
 from repro.mutation.space import MutationSpace, enumerate_mutants
 from repro.schema.catalog import Schema
-from repro.schema.ddl import parse_ddl
+from repro.schema.ddl import as_schema
 from repro.solver.search import SearchConfig
 from repro.testing.killcheck import KillCheckConfig, KillReport, evaluate_suite
 from repro.testing.workload import WorkloadSuite
@@ -66,13 +66,6 @@ __all__ = [
     "SearchConfig",
     "Budgets",
 ]
-
-
-def _as_schema(schema: Schema | str) -> Schema:
-    """Accept a parsed schema or raw DDL text."""
-    if isinstance(schema, str):
-        return parse_ddl(schema)
-    return schema
 
 
 @dataclass
@@ -193,7 +186,7 @@ def generate(
             standard pipeline.  Turn on :attr:`GenConfig.trace` /
             ``metrics`` / ``journal_path`` for observability.
     """
-    generator = XDataGenerator(_as_schema(schema), config)
+    generator = XDataGenerator(as_schema(schema), config)
     return Run(generator.generate(query))
 
 
@@ -207,7 +200,7 @@ def generate_workload(
     through to :func:`repro.testing.workload.generate_workload`.
     """
     return _generate_workload(
-        _as_schema(schema), queries, config=config, **kwargs
+        as_schema(schema), queries, config=config, **kwargs
     )
 
 
@@ -286,9 +279,10 @@ class Session:
     :class:`~repro.core.generator.XDataGenerator`, resolves the backend
     handle once, and memoizes runs by content fingerprint — so
     equivalent spellings of one query (case, whitespace, aliases) share
-    a single solve.  This is the execution substrate of the service
-    layer (:mod:`repro.service`) and the natural shape for grading
-    assistants (``examples/grading_assistant.py``).
+    a single solve.  This is the natural shape for an in-process
+    grading assistant (``examples/grading_assistant.py``); the service
+    layer (:mod:`repro.service`) keeps its results in its byte-budgeted
+    suite cache instead.
 
     Thread-safety: safe for concurrent ``generate`` / ``evaluate``
     calls; concurrent solves of *different* queries proceed in
@@ -304,13 +298,15 @@ class Session:
         config: GenConfig | None = None,
         options: EvalOptions | None = None,
     ) -> None:
-        self.schema = _as_schema(schema)
+        from repro.service.fingerprint import canonical_config
+
+        self.schema = as_schema(schema)
         self.config = config or GenConfig()
         self.options = options or EvalOptions()
         self._generator = XDataGenerator(self.schema, self.config)
+        self._config_canon = canonical_config(self.config)
         self._runs: dict[str, Run] = {}
         self._evaluations: dict[str, Evaluation] = {}
-        self._schema_canon: str | None = None
 
     # -- content addressing --------------------------------------------
 
@@ -326,20 +322,9 @@ class Session:
 
     def _canonical(self, query) -> tuple[str, str]:
         """``(canonical SQL, fingerprint)`` from one canonicalization."""
-        from repro.service.fingerprint import (
-            canonical_config,
-            canonical_query,
-            canonical_schema,
-            fingerprint_parts,
-        )
+        from repro.service.fingerprint import canonical_request
 
-        if self._schema_canon is None:
-            self._schema_canon = canonical_schema(self.schema)
-            self._config_canon = canonical_config(self.config)
-        sql = canonical_query(query)
-        return sql, fingerprint_parts(
-            self._schema_canon, sql, self._config_canon
-        )
+        return canonical_request(self.schema, query, self._config_canon)
 
     # -- cached pipeline stages ----------------------------------------
 
@@ -348,17 +333,12 @@ class Session:
 
         The solve runs over the *canonical* SQL text, so every spelling
         that shares a fingerprint returns the very same :class:`Run`
-        object — which is what lets the service layer promise
-        byte-identical responses for equivalent submissions.
+        object.
         """
-        return self._run(*self._canonical(query))
-
-    def _run(self, canonical_sql: str, key: str) -> Run:
-        """The memoized run of an already-canonicalized query."""
+        sql, key = self._canonical(query)
         run = self._runs.get(key)
         if run is None:
-            run = Run(self._generator.generate(canonical_sql))
-            self._runs[key] = run
+            run = self._runs[key] = Run(self._generator.generate(sql))
         return run
 
     def evaluate(self, query, options: EvalOptions | None = None) -> Evaluation:
@@ -373,8 +353,10 @@ class Session:
         key = f"{digest}|{opts!r}"
         evaluation = self._evaluations.get(key)
         if evaluation is None:
-            evaluation = _evaluate_run(self._run(sql, digest), opts)
-            self._evaluations[key] = evaluation
+            run = self._runs.get(digest)
+            if run is None:
+                run = self._runs[digest] = Run(self._generator.generate(sql))
+            evaluation = self._evaluations[key] = _evaluate_run(run, opts)
         return evaluation
 
     # -- bookkeeping ---------------------------------------------------

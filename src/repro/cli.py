@@ -447,6 +447,10 @@ def main(argv: list[str] | None = None) -> int:
             return 2
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        # 128 + SIGINT, the shell's convention for a command ended by ^C.
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -487,9 +487,7 @@ def _request_fingerprint(schema: Schema, query_sql: str, config) -> str:
     query, not its :func:`~repro.service.fingerprint.canonical_query`
     form: alias renamings produce identical datasets (so the service
     suite cache may merge them) but different slot *names*, and the
-    skeleton/declaration stores hold slot-name-addressed state.  The
-    schema render is memoized on the (construction-validated, never
-    mutated) schema instance, leaving only the config render per call.
+    skeleton/declaration stores hold slot-name-addressed state.
     """
     from repro.service.fingerprint import (
         canonical_config,
@@ -497,12 +495,8 @@ def _request_fingerprint(schema: Schema, query_sql: str, config) -> str:
         fingerprint_parts,
     )
 
-    canon_schema = getattr(schema, "_canon_memo", None)
-    if canon_schema is None:
-        canon_schema = canonical_schema(schema)
-        schema._canon_memo = canon_schema
     return fingerprint_parts(
-        canon_schema, query_sql, canonical_config(config)
+        canonical_schema(schema), query_sql, canonical_config(config)
     )
 
 

@@ -4,9 +4,9 @@ The cache stores *canonical payload bytes* — the serialized result of a
 generation or evaluation job — under a content key derived from
 :func:`repro.service.fingerprint.fingerprint`.  Because the key covers
 everything that can change generator output, a hit may be served in
-place of a solve with a byte-identity guarantee: the benchmark
-(``benchmarks/bench_service.py``) asserts cached responses are
-bit-for-bit equal to cold ones.
+place of a solve with a byte-identity guarantee: ``tests/test_service.py``
+asserts cached responses are bit-for-bit equal to cold ones.  It is the
+only result memo of the service: the job queue keeps no solved suite.
 
 Eviction is least-recently-used over a byte budget rather than an entry
 count, because suites vary wildly in size (a three-table join suite with

@@ -36,11 +36,10 @@ byte-identical to sequential) and the observability switches ``trace``,
 from __future__ import annotations
 
 import dataclasses
-import functools
 import hashlib
 
 from repro.schema.catalog import Schema
-from repro.schema.ddl import parse_ddl
+from repro.schema.ddl import as_schema
 from repro.sql.ast import (
     Aggregate,
     BinaryOp,
@@ -64,6 +63,7 @@ __all__ = [
     "canonical_query",
     "canonical_schema",
     "canonical_config",
+    "canonical_request",
     "fingerprint",
     "fingerprint_parts",
 ]
@@ -77,11 +77,6 @@ _VERSION = "xdata-fp-v2"
 #: leave generated suites byte-identical (observability attaches
 #: artefacts, never changes datasets; pooled runs merge in spec order).
 _CONFIG_EXCLUDED = frozenset({"trace", "metrics", "journal_path", "workers"})
-
-#: Distinct raw DDL texts whose canonical rendering is memoized.  A
-#: classroom sends one schema text with every submission; parsing it
-#: would be most of the cost of a cache hit.
-_DDL_MEMO_SIZE = 32
 
 
 class _Renamer:
@@ -212,11 +207,20 @@ def canonical_schema(schema: Schema | str) -> str:
     Tables are sorted by name; column order is preserved (it decides
     ``SELECT *`` expansion and fixture round-trips); foreign keys are
     sorted.  The catalog already lower-cases every identifier.  Raw DDL
-    text is parsed only the first time its exact text is seen (the last
-    :data:`_DDL_MEMO_SIZE` texts are memoized).
+    text goes through the parse memo of
+    :func:`~repro.schema.ddl.as_schema`, and the rendering is memoized on
+    the (construction-validated, never mutated) schema instance, so a
+    repeated DDL text costs neither a parse nor a render.
     """
-    if isinstance(schema, str):
-        return _canonical_ddl(schema)
+    schema = as_schema(schema)
+    rendering = getattr(schema, "_canon_memo", None)
+    if rendering is None:
+        rendering = _render_schema(schema)
+        schema._canon_memo = rendering
+    return rendering
+
+
+def _render_schema(schema: Schema) -> str:
     parts: list[str] = [f"nullable_fks={schema.allow_nullable_fks}"]
     for table in sorted(schema.tables, key=lambda t: t.name):
         columns = ",".join(
@@ -238,12 +242,6 @@ def canonical_schema(schema: Schema | str) -> str:
             f" pk({','.join(table.primary_key)}) fk[{fks}]"
         )
     return "\n".join(parts)
-
-
-@functools.lru_cache(maxsize=_DDL_MEMO_SIZE)
-def _canonical_ddl(ddl: str) -> str:
-    """:func:`canonical_schema` of raw DDL text, memoized by the text."""
-    return canonical_schema(parse_ddl(ddl))
 
 
 def _render_value(value) -> str:
@@ -294,14 +292,25 @@ def fingerprint(schema: Schema | str, query: Query | str, config=None) -> str:
     result-affecting config — which is the suite cache's guarantee that
     a hit may be served in place of a solve.
     """
-    return fingerprint_parts(
-        canonical_schema(schema), canonical_query(query),
-        canonical_config(config),
-    )
+    return canonical_request(schema, query, canonical_config(config))[1]
+
+
+def canonical_request(
+    schema: Schema | str, query: Query | str, config_canon: str
+) -> tuple[str, str]:
+    """``(canonical SQL, fingerprint)`` of one request.
+
+    Canonicalizes the query once for both: the SQL text is what gets
+    solved, the fingerprint what gets cached.  ``config_canon`` is the
+    :func:`canonical_config` rendering, which callers with a fixed
+    config (a session, the job queue's default) render once.
+    """
+    sql = canonical_query(query)
+    return sql, fingerprint_parts(canonical_schema(schema), sql, config_canon)
 
 
 def fingerprint_parts(schema_canon: str, query_canon: str, config_canon: str) -> str:
-    """Digest pre-canonicalized parts (lets sessions hash the schema once)."""
+    """Digest pre-canonicalized parts."""
     digest = hashlib.sha256()
     for part in (_VERSION, schema_canon, query_canon, config_canon):
         digest.update(part.encode("utf-8"))

@@ -1,12 +1,14 @@
 """Async job queue: submit → PENDING/RUNNING/DONE/FAILED/CANCELLED.
 
 The queue is the service's execution core, independent of HTTP: jobs
-carry ``(schema, query, mode)`` requests, worker threads execute them
-through :class:`repro.api.Session` executors (whose
-:class:`~repro.core.generator.GenConfig` routes spec solves into the
-shared ``core/parallel`` process pool when ``workers > 1``), and results
-land in the content-addressed :class:`~repro.service.cache.SuiteCache`
-as canonical payload bytes.
+carry ``(schema, query, mode)`` requests, and worker threads answer each
+from the content-addressed :class:`~repro.service.cache.SuiteCache` or,
+on a miss, run one :class:`~repro.core.generator.XDataGenerator` solve
+of the canonical SQL (its :class:`~repro.core.generator.GenConfig`
+routes spec solves into the shared ``core/parallel`` process pool when
+``workers > 1``).  The cache of canonical payload bytes is the only
+place the queue keeps a result: a finished job holds its payload bytes
+and nothing of the solve.
 
 Duplicate submissions are **single-flighted**: the first job owning a
 fingerprint solves it, concurrent duplicates block on its completion and
@@ -33,12 +35,13 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from repro.api import EvalOptions, Session
-from repro.core.generator import Budgets, GenConfig
+from repro.api import EvalOptions, Run, _evaluate_run
+from repro.core.generator import Budgets, GenConfig, XDataGenerator
 from repro.engine.export import to_csv_map, to_insert_script
 from repro.obs.metrics import Metrics
+from repro.schema.ddl import as_schema
 from repro.service.cache import SuiteCache, canonical_bytes
-from repro.service.fingerprint import canonical_config, canonical_schema
+from repro.service.fingerprint import canonical_config, canonical_request
 
 __all__ = [
     "Job",
@@ -165,7 +168,8 @@ def build_payload(run, evaluation=None) -> dict:
     Deliberately excludes every nondeterministic field (timings,
     per-stage clocks, solver statistics): fingerprint-equal requests
     must serialize to *byte-identical* payloads, and that property is
-    asserted end-to-end by ``benchmarks/bench_service.py``.
+    asserted end-to-end over HTTP by ``tests/test_service.py``
+    (``TestClassroomBurst``).
     """
     suite = run.suite
     health = suite.health
@@ -199,7 +203,7 @@ def build_payload(run, evaluation=None) -> dict:
 
 
 class JobQueue:
-    """Thread-backed job queue over a suite cache and session executors.
+    """Thread-backed job queue over a suite cache.
 
     Args:
         workers: Worker-thread count.  ``0`` runs synchronously — each
@@ -210,8 +214,6 @@ class JobQueue:
         journal_path: Per-job audit log in the obs run-journal format.
         config: Default generator configuration for requests that carry
             none.
-        max_sessions: Bound on distinct ``(schema, config)`` sessions
-            kept warm; least-recently-created beyond that are dropped.
     """
 
     def __init__(
@@ -221,20 +223,17 @@ class JobQueue:
         cache: SuiteCache | None = None,
         journal_path: str | None = None,
         config: GenConfig | None = None,
-        max_sessions: int = 8,
     ) -> None:
         self.cache = cache if cache is not None else SuiteCache()
         self.metrics = Metrics()
         self.config = config or GenConfig()
         self._config_canon = canonical_config(self.config)
-        self.max_sessions = max_sessions
         self._jobs: dict[str, Job] = {}
         #: Ids of finished jobs still in ``_jobs``, oldest first.
         self._finished: dict[str, None] = {}
         self._ids = itertools.count(1)
         self._lock = threading.Lock()
         self._pending: _queue.Queue = _queue.Queue()
-        self._sessions: dict[str, Session] = {}
         #: key -> Event; presence means a solve for that key is running.
         self._inflight: dict[str, threading.Event] = {}
         self._journal = None
@@ -265,9 +264,13 @@ class JobQueue:
         """
         if self._closed:
             raise RuntimeError("queue is closed")
-        config = request.config or self.config
-        session = self._session_for(request.schema, config)
-        canonical_sql, digest = session._canonical(request.query)
+        config_canon = (
+            self._config_canon if request.config is None
+            else canonical_config(request.config)
+        )
+        canonical_sql, digest = canonical_request(
+            request.schema, request.query, config_canon
+        )
         job = Job(
             id=f"job-{next(self._ids)}",
             request=request,
@@ -381,24 +384,6 @@ class JobQueue:
     # execution
     # ------------------------------------------------------------------
 
-    def _session_for(self, schema, config: GenConfig) -> Session:
-        """The warm session of ``(schema, config)``, keyed by their
-        canonical forms so respelled DDL texts share one session."""
-        config_canon = (
-            self._config_canon if config is self.config
-            else canonical_config(config)
-        )
-        key = f"{canonical_schema(schema)}\x1f{config_canon}"
-        with self._lock:
-            session = self._sessions.get(key)
-            if session is None:
-                if len(self._sessions) >= self.max_sessions:
-                    oldest = next(iter(self._sessions))
-                    self._sessions.pop(oldest)
-                session = Session(schema, config=config)
-                self._sessions[key] = session
-            return session
-
     def _update_depth(self) -> None:
         self.metrics.gauge(
             "xdata_service_queue_depth", self._pending.qsize()
@@ -484,28 +469,19 @@ class JobQueue:
         """Run the job's pipeline; returns (payload bytes, cacheable)."""
         request = job.request
         config = request.config or self.config
-        session = self._session_for(request.schema, config)
         deadline_limited = request.deadline_s is not None
         if deadline_limited:
             remaining = request.deadline_s - (time.time() - job.submitted_at)
-            solve_config = self._budgeted(config, max(remaining, 0.01))
-            run = _solo_run(session, job.canonical_sql, solve_config)
-        elif self._journal is not None and not config.trace:
+            config = self._budgeted(config, max(remaining, 0.01))
+        if self._journal is not None and not config.trace:
             # The audit log replays spans from the trace; force it on
             # (observability never changes generated bytes).
-            run = _solo_run(
-                session, job.canonical_sql,
-                dataclasses.replace(config, trace=True),
-            )
-        else:
-            run = session._run(job.canonical_sql, job.fingerprint)
+            config = dataclasses.replace(config, trace=True)
+        generator = XDataGenerator(as_schema(request.schema), config)
+        run = Run(generator.generate(job.canonical_sql))
         evaluation = None
         if request.mode == "evaluate":
-            from repro.api import _evaluate_run
-
-            evaluation = _evaluate_run(
-                run, request.options or EvalOptions()
-            )
+            evaluation = _evaluate_run(run, request.options or EvalOptions())
         payload = canonical_bytes(build_payload(run, evaluation))
         self._journal_solve(job, run)
         # A run that budget-skipped targets under its per-job deadline
@@ -585,16 +561,3 @@ class JobQueue:
                 "run_abort", ts=time.time(),
                 error=job.error or "unknown failure",
             )
-
-
-def _solo_run(session: Session, canonical_sql: str, config: GenConfig):
-    """One uncached run with a per-job config override.
-
-    Deadline- and trace-overridden solves bypass the session memo (their
-    config is not the session's) but reuse its parsed schema.
-    """
-    from repro.api import Run
-    from repro.core.generator import XDataGenerator
-
-    generator = XDataGenerator(session.schema, config)
-    return Run(generator.generate(canonical_sql))

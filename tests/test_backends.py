@@ -222,3 +222,30 @@ def test_fig1_kill_verdicts_identical_across_backends(uni_schema):
         backend=SqliteBackend(force_join_rewrites=True),
     )
     assert [o.killed for o in forced.outcomes] == verdicts[None]
+
+
+@pytest.mark.slow
+def test_university_kill_matrices_identical_across_backends(uni_schema):
+    """Every Table I/II suite, FULL OUTER mutants included: the engine,
+    SQLite and the cross-checking pair kill exactly the same mutants
+    with exactly the same datasets."""
+    from repro.core.generator import XDataGenerator
+
+    generator = XDataGenerator(uni_schema)
+    for name in sorted(UNIVERSITY_QUERIES):
+        suite = generator.generate(UNIVERSITY_QUERIES[name]["sql"])
+        space = enumerate_mutants(suite.analyzed, include_full_outer=True)
+        matrices = [
+            [
+                outcome.killed_by
+                for outcome in evaluate_suite(
+                    space, suite.databases, **arm
+                ).outcomes
+            ]
+            for arm in (
+                {"backend": None},
+                {"backend": "sqlite"},
+                {"backend": None, "cross_check": True},
+            )
+        ]
+        assert matrices[0] == matrices[1] == matrices[2], name

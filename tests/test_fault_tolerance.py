@@ -459,7 +459,8 @@ class TestInterrupt:
     def test_ctrl_c_ends_pooled_generate_promptly(self, tmp_path):
         """SIGINT to the CLI parent alone (pool workers ignore SIGINT)
         must end a pooled generate at once and take its workers along,
-        not wait for a sleeping worker's task to finish."""
+        not wait for a sleeping worker's task to finish; the CLI exits
+        130 with one ``interrupted`` line, not a traceback."""
         log = tmp_path / "faults.log"
         env = dict(os.environ)
         src = os.path.join(os.path.dirname(__file__), "..", "src")
@@ -473,7 +474,7 @@ class TestInterrupt:
             ],
             env=env,
             stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
             # Own group for cleanup; SIGINT at its default, as when
             # started from a terminal.
             start_new_session=True,
@@ -488,10 +489,13 @@ class TestInterrupt:
             proc.send_signal(signal.SIGINT)
             started = time.monotonic()
             try:
-                proc.wait(timeout=5)
+                _, stderr = proc.communicate(timeout=5)
             except subprocess.TimeoutExpired:
                 pytest.fail("generate still running 5 s after SIGINT")
             assert time.monotonic() - started < 5
+            assert proc.returncode == 130, stderr
+            assert b"Traceback" not in stderr, stderr
+            assert stderr.strip().endswith(b"interrupted"), stderr
             if _HAS_PROC:
                 assert _wait_until_gone(_worker_pids(log), 1.0) == set()
         finally:

@@ -8,26 +8,33 @@ lifecycle/metrics bookkeeping around it stays consistent (hits + misses
 
 from __future__ import annotations
 
+import gc
 import http.client
 import importlib
 import json
+import random
+import re
 import time
 import urllib.error
 import urllib.request
+import weakref
 
 import pytest
 
 import repro
-import repro.api
+from repro.core.generator import XDataGenerator
+from repro.datasets.university import UNIVERSITY_QUERIES, university_schema
 from repro.obs.journal import validate_journal
+from repro.schema.ddl import to_ddl
 from repro.service import JobQueue, JobRequest, JobState, Service, SuiteCache
 from repro.service.cache import canonical_bytes
-from repro.service.jobs import request_key
+from repro.service.jobs import build_payload, request_key
 
 jobs_module = importlib.import_module("repro.service.jobs")
 
 # The module, not the ``fingerprint`` function the package re-exports.
 fingerprint_module = importlib.import_module("repro.service.fingerprint")
+ddl_module = importlib.import_module("repro.schema.ddl")
 
 DDL = """
 CREATE TABLE dept (id INT PRIMARY KEY, name VARCHAR);
@@ -37,6 +44,12 @@ CREATE TABLE emp (
     salary INT
 );
 """
+
+#: DDL equal to ``DDL`` as a schema: tables reversed, case and
+#: whitespace changed.
+DDL_REORDERED = """create table EMP (ID int primary key,
+      DEPT_ID int references DEPT (ID),   SALARY int);
+create   table DEPT(ID int primary key,NAME varchar)"""
 
 SQL = "SELECT e.salary FROM emp e, dept d WHERE e.dept_id = d.id AND e.salary > 10"
 #: The same request in a different spelling (case/spacing/aliases).
@@ -298,6 +311,29 @@ class TestFinishedJobRetention:
         assert sum(len(job.result) for job in submitted) > 8 * largest
         queue.close()
 
+    def test_finished_jobs_retain_no_suite(self, monkeypatch):
+        """The suite cache keeps payload bytes only: once its job is
+        finished, no solved :class:`TestSuite` stays alive."""
+        suites = []
+        generate = XDataGenerator.generate
+
+        def tracked(self, query):
+            suite = generate(self, query)
+            suites.append(weakref.ref(suite))
+            return suite
+
+        monkeypatch.setattr(XDataGenerator, "generate", tracked)
+        queue = sync_queue()
+        queries = self.distinct_queries(23)
+        modes = ["generate"] * 20 + ["evaluate"] * 3
+        for sql, mode in zip(queries, modes):
+            job = queue.submit(JobRequest(DDL, sql, mode=mode))
+            assert job.state is JobState.DONE, job.error
+        gc.collect()
+        assert len(suites) == 23
+        assert sum(ref() is not None for ref in suites) == 0
+        queue.close()
+
     def test_evicted_id_reads_as_unknown(self, monkeypatch):
         monkeypatch.setattr(jobs_module, "MAX_FINISHED_JOBS", 1)
         queue = sync_queue()
@@ -399,9 +435,8 @@ class TestParseOnce:
     def test_hits_parse_the_ddl_and_canonicalize_the_query_once(
         self, monkeypatch
     ):
-        fingerprint_module._canonical_ddl.cache_clear()
-        parses = self._count(monkeypatch, fingerprint_module, "parse_ddl")
-        session_parses = self._count(monkeypatch, repro.api, "parse_ddl")
+        ddl_module._parse_memoized.cache_clear()
+        parses = self._count(monkeypatch, ddl_module, "parse_ddl")
         canonicalizations = self._count(
             monkeypatch, fingerprint_module, "canonical_query"
         )
@@ -412,8 +447,8 @@ class TestParseOnce:
             for index in range(51)
         ]
         assert [job.cached for job in jobs] == [False] + [True] * 50
-        # Memo fill plus Session build, whatever the number of hits.
-        assert parses["n"] + session_parses["n"] <= 2
+        # One parse for the fingerprint, the solve and every hit.
+        assert parses["n"] == 1
         assert canonicalizations["n"] == len(jobs)
         queue.close()
 
@@ -435,15 +470,36 @@ class TestParseOnce:
         assert warm.fingerprint == repro.fingerprint(respelled, SQL)
         queue.close()
 
+    def test_reordered_ddl_misses_with_identical_bytes(self):
+        """Schema-equal DDL texts share a fingerprint, so a solve from
+        either text must give the same bytes: with the cache cleared
+        between them, the second spelling misses and still matches."""
+        queue = sync_queue()
+        for sql in (SQL, SQL_OTHER):
+            cold = queue.submit(JobRequest(DDL, sql))
+            queue.cache.clear()
+            respelled = queue.submit(JobRequest(DDL_REORDERED, sql))
+            assert not respelled.cached
+            assert respelled.fingerprint == cold.fingerprint
+            assert respelled.result == cold.result
+        queue.close()
+
     def test_ddl_memo_is_bounded(self):
-        bound = fingerprint_module._DDL_MEMO_SIZE
+        bound = ddl_module._DDL_MEMO_SIZE
         expected = fingerprint_module.canonical_schema(repro.parse_ddl(DDL))
         for index in range(bound + 5):
             text = f"{DDL}\n-- submission {index}\n"
             assert fingerprint_module.canonical_schema(text) == expected
-            info = fingerprint_module._canonical_ddl.cache_info()
+            info = ddl_module._parse_memoized.cache_info()
             assert info.currsize <= bound
         assert info.currsize == bound
+
+    def test_ddl_parse_errors_are_not_memoized(self, monkeypatch):
+        parses = self._count(monkeypatch, ddl_module, "parse_ddl")
+        for _ in range(2):
+            with pytest.raises(repro.XDataError):
+                ddl_module.as_schema("CREATE TABLE broken (")
+        assert parses["n"] == 2
 
 
 # ---------------------------------------------------------------------------
@@ -581,6 +637,82 @@ class TestHttpService:
         # Headers and body written apart would stall each response ~40 ms
         # on the client's delayed ACK; one write answers in about 1 ms.
         assert elapsed < len(paths) * 0.040 / 4, elapsed
+
+
+class TestClassroomBurst:
+    """A grading burst over HTTP: six Table II assignments, each sent by
+    ten students in their own spellings (case and whitespace), against a
+    live :class:`Service` with two worker threads."""
+
+    ASSIGNMENTS = ("Q1", "Q7", "Q8", "Q9", "Q10", "Q11")
+    SPELLINGS = 10
+
+    @staticmethod
+    def respell(sql: str, rng: random.Random) -> str:
+        """One student's spelling: case and spacing noise outside string
+        literals, which the fingerprint canonicalizes away."""
+        segments = sql.split("'")
+        for index in range(0, len(segments), 2):  # outside quotes
+            words = re.split(r"(\s+)", segments[index])
+            for position, word in enumerate(words):
+                if word.isspace():
+                    if rng.random() < 0.4:
+                        words[position] = " " * rng.randint(1, 3)
+                elif word and rng.random() < 0.5:
+                    words[position] = (
+                        word.upper() if rng.random() < 0.5 else word.lower()
+                    )
+            segments[index] = "".join(words)
+        return "'".join(segments)
+
+    def burst(self) -> list[str]:
+        rng = random.Random(20260808)
+        submissions = []
+        for name in self.ASSIGNMENTS:
+            sql = UNIVERSITY_QUERIES[name]["sql"]
+            submissions.append(sql)
+            submissions += [
+                self.respell(sql, rng) for _ in range(self.SPELLINGS - 1)
+            ]
+        rng.shuffle(submissions)
+        return submissions
+
+    def test_burst_is_byte_identical_and_reconciles(self):
+        ddl = to_ddl(university_schema())
+        # In-process solves, one fresh session each, over the schema the
+        # server parses.
+        schema = repro.parse_ddl(ddl)
+        references = {
+            repro.fingerprint(ddl, sql): canonical_bytes(
+                build_payload(repro.Session(schema).generate(sql))
+            )
+            for sql in (
+                UNIVERSITY_QUERIES[name]["sql"] for name in self.ASSIGNMENTS
+            )
+        }
+        burst = self.burst()
+        with Service(port=0, workers=2) as service:
+            jobs = [
+                _post_job(service, {"schema": ddl, "query": sql})
+                for sql in burst
+            ]
+            hits = misses = 0
+            for job in jobs:
+                assert _wait_done(service, job["id"])["state"] == "done"
+                with urllib.request.urlopen(
+                    f"{service.url}/v1/jobs/{job['id']}/result"
+                ) as response:
+                    body = response.read()
+                    cached = response.headers["X-Xdata-Cache"] == "hit"
+                hits += cached
+                misses += not cached
+                assert body == references[job["fingerprint"]], job
+            with urllib.request.urlopen(service.url + "/metrics") as response:
+                text = response.read().decode()
+        assert misses == len(self.ASSIGNMENTS)
+        assert hits / len(burst) >= 0.8
+        assert f"xdata_service_cache_hits_total {hits}\n" in text
+        assert f"xdata_service_cache_misses_total {misses}\n" in text
 
 
 class TestHostileSubmissions:

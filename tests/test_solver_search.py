@@ -144,6 +144,26 @@ class TestUnsat:
         assert solver.solve(unfold=False) is None
 
 
+class TestSumAtoms:
+    @pytest.mark.xfail(
+        strict=True,
+        reason="false UNSAT, likely because candidate domains are closed "
+        "under x + c and x - c only, while a sum atom needs c - x",
+    )
+    def test_sum_with_a_bounded_addend_is_sat(self):
+        from repro.solver.solver import unfold_formula
+
+        solver = Solver()
+        v1 = solver.int_var("v1")
+        v2 = solver.int_var("v2")
+        solver.add(b.lt(v2, b.const(-25)))
+        solver.add(b.ge(v1 + v2, b.const(5)))
+        witness = {"v1": 31, "v2": -26}
+        for formula in solver.formulas:
+            assert eval_formula(unfold_formula(formula), witness) is True
+        check_model(solver, solver.solve())
+
+
 class TestStrings:
     def test_string_pool_equality(self):
         solver = Solver()
