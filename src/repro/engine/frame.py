@@ -12,13 +12,16 @@ output attribute whose value may come from either input.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.errors import ExecutionError
 
 
-@dataclass(frozen=True)
-class FrameCol:
+class FrameCol(NamedTuple):
     """One column of a frame header.
+
+    A named tuple, so a header (a tuple of these) hashes and compares in
+    C — the subplan cache interns headers by value.
 
     Attributes:
         binding: Table alias that produced the column, or ``None`` for a
@@ -31,21 +34,31 @@ class FrameCol:
     name: str
     sources: tuple[tuple[str, str], ...] = ()
 
-    def __hash__(self) -> int:
-        # Header tuples are hashed on every frame-content interning
-        # probe (subplan cache), so the field-tuple hash the dataclass
-        # would recompute each call is memoized on the instance.
-        cached = self.__dict__.get("_hash")
-        if cached is None:
-            cached = hash((self.binding, self.name, self.sources))
-            object.__setattr__(self, "_hash", cached)
-        return cached
-
     def answers(self, binding: str, name: str) -> bool:
         """True if a qualified reference ``binding.name`` resolves here."""
         if self.binding is not None:
             return self.binding == binding and self.name == name
         return (binding, name) in self.sources
+
+
+class Layout:
+    """A frame header interned for one subplan-cache batch (DESIGN.md §5g).
+
+    Every frame the cached executor builds over an equal header shares
+    one layout: a column reference resolves once per header instead of
+    once per frame, and content interning keys a frame by the small
+    ``token`` rather than hashing its header again.  A token means
+    nothing outside the :class:`~repro.engine.subplan.SubplanCache`
+    that issued it.
+    """
+
+    __slots__ = ("header", "token", "resolved")
+
+    def __init__(self, header: tuple[FrameCol, ...], token: int):
+        self.header = header
+        self.token = token
+        #: The resolve memo every frame of this layout shares.
+        self.resolved: dict = {}
 
 
 @dataclass
@@ -60,6 +73,24 @@ class Frame:
     _resolve_memo: dict = field(
         default_factory=dict, repr=False, compare=False
     )
+    #: The interned header this frame was built over, and the dataset-
+    #: local id of its content (cached executor only; ``None`` on the
+    #: uncached reference path).
+    layout: Layout | None = field(default=None, repr=False, compare=False)
+    content_id: int | None = field(default=None, repr=False, compare=False)
+
+    @classmethod
+    def of(
+        cls, layout: Layout, rows: list[tuple], content_id: int | None
+    ) -> "Frame":
+        """A frame over an interned header, sharing its resolve memo."""
+        frame = object.__new__(cls)
+        frame.header = layout.header
+        frame.rows = rows
+        frame._resolve_memo = layout.resolved
+        frame.layout = layout
+        frame.content_id = content_id
+        return frame
 
     def resolve(self, binding: str | None, name: str) -> int:
         """Index of the column answering to ``binding.name`` (or bare name).

@@ -183,7 +183,7 @@ def replace_node(
     is the very object ``plan`` holds.  This is how every mutant is
     built — a mutant differs from its base plan in one node, so it
     allocates one path, and the per-node memos of the shared subtrees
-    (fingerprints, cache-key specs, frame keys) are computed once for
+    (fingerprints, cache-key specs) are computed once for
     the whole mutant batch.  Sharing is safe because plan nodes are
     frozen and every memo stashed on a node is derived from its content.
 

@@ -6,12 +6,14 @@ bags of rows with columns aligned by name, so equivalent plans that emit
 columns in different orders (different join orders under ``SELECT *``)
 still compare equal.
 
-The evaluation loop is batched per dataset (DESIGN.md §5g): each dataset
-is loaded once, the original executes once, and the mutant set runs in
-fingerprint-sorted order against a shared
-:class:`~repro.engine.subplan.SubplanCache`, so every subtree unchanged
-from the original — and every subtree shared between sibling mutants —
-is computed once per dataset instead of once per mutant.
+The evaluation loop is batched per dataset (DESIGN.md §5g): the original
+plan and every mutant are registered once in a shared
+:class:`~repro.engine.subplan.SubplanCache`, whose slot table maps each
+distinct subtree to one slot; then each dataset is loaded once, the
+original executes once, and the mutant set runs in fingerprint-sorted
+order, so every subtree unchanged from the original — and every subtree
+shared between sibling mutants — is computed once per dataset instead
+of once per mutant.
 :class:`KillCheckConfig` carries the one reference switch: with the
 subplan cache off every tree re-executes from scratch, the oracle the
 equivalence tests hold the cached verdicts to.
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -229,6 +232,10 @@ def evaluate_suite(
     outcomes = [MutantOutcome(mutant) for mutant in mutants]
     order = mutant_order(mutants)
     cache = SubplanCache() if config.subplan_cache else None
+    if cache is not None:
+        cache.register(plan)
+        for mutant in mutants:
+            cache.register(mutant.plan)
 
     if backend is None and not cross_check:
         # Hot path: no handle indirection, no integrity re-validation.
@@ -276,8 +283,9 @@ def evaluate_suite(
         reference = resolve_backend(
             "engine" if primary.name == "sqlite" else "sqlite"
         )
-    _attach_subplan_cache((primary, reference), cache)
-    with CrossChecker(primary, reference) as checker:
+    with attached_subplan_cache((primary, reference), cache), CrossChecker(
+        primary, reference
+    ) as checker:
         for index, db in enumerate(databases):
             if cross_check:
                 # Both backends' bags are compared inside the checker,
@@ -314,10 +322,25 @@ def evaluate_suite(
     )
 
 
-def _attach_subplan_cache(backends, cache: SubplanCache | None) -> None:
-    """Hand the shared subplan cache to every engine-executing backend."""
-    if cache is None:
-        return
-    for backend in backends:
-        if backend is not None and getattr(backend, "name", "") == "engine":
-            backend.subplan_cache = cache
+@contextmanager
+def attached_subplan_cache(backends, cache: SubplanCache | None):
+    """Hand the batch's subplan cache to every engine-executing backend.
+
+    Each backend gets its previous ``subplan_cache`` back on exit: the
+    batch cache keys datasets by ``id(db)``, which a later caller's
+    fresh databases may reuse once the batch's datasets are gone.
+    """
+    engines = [
+        backend for backend in backends
+        if cache is not None
+        and backend is not None
+        and getattr(backend, "name", "") == "engine"
+    ]
+    previous = [engine.subplan_cache for engine in engines]
+    for engine in engines:
+        engine.subplan_cache = cache
+    try:
+        yield
+    finally:
+        for engine, saved in zip(engines, previous):
+            engine.subplan_cache = saved

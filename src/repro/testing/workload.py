@@ -24,7 +24,7 @@ from repro.engine.subplan import SubplanCache
 from repro.mutation.space import MutationSpace, enumerate_mutants
 from repro.schema.catalog import Schema
 from repro.testing.killcheck import (
-    _attach_subplan_cache,
+    attached_subplan_cache,
     mutant_order,
     result_signature,
 )
@@ -223,14 +223,15 @@ def generate_workload(
             all_datasets.append((entry_index, dataset_index, dataset))
 
     # Union kill matrix: which combined dataset kills which (query, mutant).
-    # Batched per dataset (DESIGN.md §5g): each combined dataset is
-    # visited once, every query's original and fingerprint-sorted mutant
-    # batch runs over it against one shared subplan cache — scans and
-    # join subtrees shared *across queries* are computed once per
-    # dataset too, then the dataset's entries (and backend handles) are
-    # released before moving on.
+    # Batched per dataset (DESIGN.md §5g): every query's original and
+    # mutants are registered once in one shared subplan cache, whose slot
+    # table gives each distinct subtree one slot *across queries*; each
+    # combined dataset is then visited once, every query's original and
+    # fingerprint-sorted mutant batch runs over it, and the dataset's
+    # entries (and backend handles) are released before moving on.
     cache = SubplanCache() if subplan_cache else None
     checker = None
+    backends = ()
     if backend is not None or cross_check:
         from repro.backends import CrossChecker, resolve_backend
 
@@ -240,7 +241,7 @@ def generate_workload(
             reference = resolve_backend(
                 "engine" if primary.name == "sqlite" else "sqlite"
             )
-        _attach_subplan_cache((primary, reference), cache)
+        backends = (primary, reference)
         checker = CrossChecker(primary, reference)
 
     def signature_of(plan, db, context):
@@ -253,28 +254,35 @@ def generate_workload(
         else []
         for entry in entries
     ]
+    if cache is not None:
+        for entry in entries:
+            if not entry.failed:
+                cache.register(entry.space.original_plan)
+                for mutant in entry.space.mutants:
+                    cache.register(mutant.plan)
     kills: list[set[tuple[int, int]]] = [set() for _ in all_datasets]
     killable: set[tuple[int, int]] = set()
     try:
-        for dataset_pos, (_, _, dataset) in enumerate(all_datasets):
-            db = dataset.db
-            for entry_index, entry in enumerate(entries):
-                if entry.failed:
-                    continue
-                original = signature_of(
-                    entry.space.original_plan, db,
-                    f"{entry.name}: original query",
-                )
-                for mutant_index in orders[entry_index]:
-                    mutant = entry.space.mutants[mutant_index]
-                    context = f"{entry.name}: mutant {mutant.description}"
-                    if signature_of(mutant.plan, db, context) != original:
-                        kills[dataset_pos].add((entry_index, mutant_index))
-                        killable.add((entry_index, mutant_index))
-            if checker is not None:
-                checker.release(db)
-            if cache is not None:
-                cache.drop_dataset(db)
+        with attached_subplan_cache(backends, cache):
+            for dataset_pos, (_, _, dataset) in enumerate(all_datasets):
+                db = dataset.db
+                for entry_index, entry in enumerate(entries):
+                    if entry.failed:
+                        continue
+                    original = signature_of(
+                        entry.space.original_plan, db,
+                        f"{entry.name}: original query",
+                    )
+                    for mutant_index in orders[entry_index]:
+                        mutant = entry.space.mutants[mutant_index]
+                        context = f"{entry.name}: mutant {mutant.description}"
+                        if signature_of(mutant.plan, db, context) != original:
+                            kills[dataset_pos].add((entry_index, mutant_index))
+                            killable.add((entry_index, mutant_index))
+                if checker is not None:
+                    checker.release(db)
+                if cache is not None:
+                    cache.drop_dataset(db)
         for entry in entries:
             if not entry.failed:
                 entry.total = len(entry.space.mutants)

@@ -8,10 +8,16 @@ Three contracts back the batched kill check:
 * cached entries never leak across datasets;
 * kill verdicts are byte-identical with the cache on and off, and the
   row-count / raw-bag short cut in front of the canonical comparison
-  never changes a verdict.
+  never changes a verdict;
+* no batch state outlives its batch: callers' backends get their own
+  cache back, and the plans of a finished batch are collectable.
 """
 
 from __future__ import annotations
+
+import gc
+import random
+import weakref
 
 import pytest
 
@@ -21,6 +27,7 @@ from repro.datasets.university import (
     university_sample_database,
     university_schema,
 )
+from repro.backends import EngineBackend
 from repro.engine.database import Database
 from repro.engine.executor import execute_plan
 from repro.engine.plan import (
@@ -32,7 +39,7 @@ from repro.engine.plan import (
     compile_query,
     plan_fingerprint,
 )
-from repro.engine.subplan import SubplanCache
+from repro.engine.subplan import SubplanCache, estimate_entry_bytes
 from repro.mutation import enumerate_mutants
 from repro.sql.ast import (
     ColumnRef,
@@ -42,13 +49,16 @@ from repro.sql.ast import (
     SelectItem,
 )
 from repro.sql.parser import parse_query
+from repro.testing.equivalence import random_database
 from repro.testing.killcheck import (
     KillCheckConfig,
     differs_from_signature,
     evaluate_suite,
+    mutant_order,
     raw_signature,
     result_signature,
 )
+from repro.testing.workload import generate_workload
 from tests.workload import KILLCHECK_CORPUS
 
 
@@ -232,6 +242,33 @@ class TestDatasetIsolation:
         assert cache.peak_bytes == cache.bytes_stored
 
 
+    def test_bytes_count_each_stored_object_once(self, uni_schema_nofk, uni_db):
+        """A frame kept under a content key and in its slot is one object:
+        ``bytes`` is the sum of the distinct objects stored per dataset."""
+        suite = XDataGenerator(uni_schema_nofk).generate(KILLCHECK_CORPUS[2])
+        space = enumerate_mutants(suite.analyzed, include_full_outer=True)
+        databases = suite.databases + [uni_db]
+        plans = [space.original_plan] + [
+            space.mutants[i].plan for i in mutant_order(space.mutants)
+        ]
+        cache = SubplanCache()
+        for plan in plans:
+            cache.register(plan)
+        distinct_bytes = 0
+        for db in databases:
+            for plan in plans:
+                execute_plan(plan, db, cache)
+            entries = cache._by_dataset[id(db)]
+            stored = list(entries.values.values())
+            stored += [value for value in entries.frames if value is not None]
+            distinct = {id(value): value for value in stored}
+            distinct_bytes += sum(map(estimate_entry_bytes, distinct.values()))
+            cache.drop_dataset(db)
+        assert cache.bytes_stored == distinct_bytes
+        report = evaluate_suite(space, databases)
+        assert report.cache_stats["bytes"] == distinct_bytes
+
+
 class TestCachedUncachedEquivalence:
     @pytest.mark.parametrize(
         "sql", KILLCHECK_CORPUS, ids=range(len(KILLCHECK_CORPUS))
@@ -240,7 +277,11 @@ class TestCachedUncachedEquivalence:
         """The §5g acceptance bar: cached and uncached evaluation agree
         on every (mutant, dataset) verdict, not just aggregate counts."""
         suite = XDataGenerator(uni_schema_nofk).generate(sql)
-        space = enumerate_mutants(suite.analyzed)
+        space = enumerate_mutants(
+            suite.analyzed,
+            include_full_outer=True,
+            include_join_conditions=True,
+        )
         databases = suite.databases + [uni_db]
         cached = evaluate_suite(space, databases, config=KillCheckConfig())
         uncached = evaluate_suite(
@@ -315,3 +356,66 @@ class TestVerdictShortCut:
                     checked += 1
                     kills += expected
         assert checked > 1000 and 0 < kills < checked
+
+
+def _module_containers():
+    """Sizes of every module-level dict/list/set of the executor layer."""
+    from repro.engine import executor, frame, plan, subplan
+
+    return {
+        (module.__name__, name): len(value)
+        for module in (executor, frame, plan, subplan)
+        for name, value in vars(module).items()
+        if isinstance(value, (dict, list, set))
+    }
+
+
+class TestBatchLifetime:
+    def test_backend_gets_its_cache_back(self, uni_schema_nofk):
+        """A caller-supplied engine backend leaves a batch with the cache
+        it came with, so later executions on fresh datasets — whose
+        ``id`` may recycle a finished batch's dataset — are uncached."""
+        suite = XDataGenerator(uni_schema_nofk).generate(KILLCHECK_CORPUS[2])
+        space = enumerate_mutants(suite.analyzed)
+        backend = EngineBackend()
+        evaluate_suite(space, suite.databases, backend=backend)
+        assert backend.subplan_cache is None
+        generate_workload(
+            uni_schema_nofk, {"q": KILLCHECK_CORPUS[2]}, backend=backend
+        )
+        assert backend.subplan_cache is None
+        rng = random.Random(5)
+        for i in range(50):
+            db = random_database(uni_schema_nofk, rng)
+            plan = space.mutants[i % len(space.mutants)].plan
+            assert result_signature(backend.execute(db, plan)) == (
+                result_signature(execute_plan(plan, db))
+            )
+            del db
+
+    def test_own_cache_is_restored(self, uni_schema_nofk):
+        suite = XDataGenerator(uni_schema_nofk).generate(KILLCHECK_CORPUS[0])
+        own = SubplanCache()
+        backend = EngineBackend(subplan_cache=own)
+        evaluate_suite(enumerate_mutants(suite.analyzed), suite.databases,
+                       backend=backend)
+        assert backend.subplan_cache is own
+
+    def test_no_batch_state_outlives_its_batch(self, uni_schema_nofk, uni_db):
+        """Once a batch's results are dropped, its plans are collectable,
+        and the executor layer holds no module-level memo that grew."""
+        sql = KILLCHECK_CORPUS[3]
+        before = _module_containers()
+        suite = XDataGenerator(uni_schema_nofk).generate(sql)
+        space = enumerate_mutants(suite.analyzed)
+        report = evaluate_suite(space, suite.databases + [uni_db])
+        refs = [weakref.ref(space.original_plan),
+                weakref.ref(space.mutants[0].plan)]
+        workload = generate_workload(uni_schema_nofk, {"q": sql})
+        (entry,) = workload.entries
+        refs += [weakref.ref(entry.space.original_plan),
+                 weakref.ref(entry.space.mutants[0].plan)]
+        del suite, space, report, workload, entry
+        gc.collect()
+        assert [ref() for ref in refs] == [None] * len(refs)
+        assert _module_containers() == before

@@ -38,6 +38,11 @@ KILLCHECK_CORPUS = [
         "teaches t WHERE i.id = t.id GROUP BY t.course_id "
         "HAVING COUNT(*) > 1"
     ),
+    "SELECT * FROM instructor NATURAL JOIN teaches",
+    (
+        "SELECT i.name FROM instructor i, teaches t WHERE i.id = t.id "
+        "AND i.salary IS NULL"
+    ),
 ]
 
 
