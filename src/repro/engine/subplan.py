@@ -234,19 +234,6 @@ class SubplanCache:
     def drop_dataset(self, db) -> None:
         """Release every entry cached for ``db`` (end of its batch)."""
         self._by_dataset.pop(id(db), None)
-        self._forget_datasets()
-
-    def clear(self) -> None:
-        """Release every dataset's entries and the slot registry."""
-        self._by_dataset.clear()
-        self._forget_datasets()
-        for table in (self.nodes, self.kids, self.memos, self._held):
-            table.clear()
-        self._slot_by_fp.clear()
-        self._slot_by_id.clear()
-        self._layouts.clear()
-
-    def _forget_datasets(self) -> None:
         self._last_id = None
         self._last_entry = None
         self.peak_bytes = self._live_peak()
