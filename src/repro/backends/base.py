@@ -161,26 +161,40 @@ class CrossChecker:
 
     def result(self, plan: PlanNode, db: Database, context: str = "query") -> Relation:
         """Primary backend's result; raises on reference disagreement."""
-        out = self.primary.execute(self._handle(self.primary, db), plan)
-        if self.reference is not None:
-            ref = self.reference.execute(self._handle(self.reference, db), plan)
-            from repro.testing.killcheck import result_signature
-
-            if result_signature(out) != result_signature(ref):
-                raise BackendDisagreement(
-                    context,
-                    self._sql_of(plan),
-                    db,
-                    {self.primary.name: out, self.reference.name: ref},
-                    plan=plan,
-                )
-        return out
+        return self._checked(plan, db, context)[0]
 
     def signature(self, plan: PlanNode, db: Database, context: str = "query"):
-        """The :func:`result_signature` of :meth:`result`."""
+        """The :func:`result_signature` of :meth:`result`.
+
+        Under a reference the comparison has already signed the
+        primary's result, so that signature is returned as it is.
+        """
+        out, signature = self._checked(plan, db, context)
+        if signature is None:
+            from repro.testing.killcheck import result_signature
+
+            signature = result_signature(out)
+        return signature
+
+    def _checked(self, plan: PlanNode, db: Database, context: str):
+        """``(primary result, its signature or None)``: the signature is
+        computed only when a reference has to be compared against it."""
+        out = self.primary.execute(self._handle(self.primary, db), plan)
+        if self.reference is None:
+            return out, None
+        ref = self.reference.execute(self._handle(self.reference, db), plan)
         from repro.testing.killcheck import result_signature
 
-        return result_signature(self.result(plan, db, context))
+        signature = result_signature(out)
+        if signature != result_signature(ref):
+            raise BackendDisagreement(
+                context,
+                self._sql_of(plan),
+                db,
+                {self.primary.name: out, self.reference.name: ref},
+                plan=plan,
+            )
+        return out, signature
 
     def _sql_of(self, plan: PlanNode) -> str:
         for backend in (self.primary, self.reference):

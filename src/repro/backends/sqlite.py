@@ -30,7 +30,10 @@ has bignums.  The conformance grammar stays inside the common subset.
 
 from __future__ import annotations
 
+import os
 import sqlite3
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 
 from repro.backends.base import BackendCapabilities, BackendError
@@ -133,6 +136,73 @@ def schema_to_sqlite_ddl(schema: Schema) -> str:
         body = ",\n  ".join(lines)
         statements.append(f"CREATE TABLE {_q(table.name)} (\n  {body}\n){suffix};")
     return "\n".join(statements)
+
+
+def _schema_ddl(schema: Schema) -> str:
+    """:func:`schema_to_sqlite_ddl`, memoized on the schema instance
+    (schemas are validated at construction and never mutated, as
+    :func:`repro.service.fingerprint.canonical_schema` relies on too)."""
+    ddl = getattr(schema, "_sqlite_ddl_memo", None)
+    if ddl is None:
+        ddl = schema._sqlite_ddl_memo = schema_to_sqlite_ddl(schema)
+    return ddl
+
+
+#: Bound on the schema templates kept at once (as ``_DDL_MEMO_SIZE``
+#: bounds the DDL parse memo); the least recently used is closed.
+_TEMPLATE_LIMIT = 32
+#: DDL text -> an empty in-memory database holding exactly that schema.
+_templates: OrderedDict[str, sqlite3.Connection] = OrderedDict()
+#: Guards the template map and every backup out of a template: a
+#: template connection is shared by all threads (``check_same_thread``
+#: is off), so one lock serialises its use.
+_templates_lock = threading.Lock()
+
+
+def _forget_templates() -> None:
+    """In a forked child: start with no templates and a fresh lock.
+
+    SQLite connections must not be carried across ``fork``, and a
+    parent thread may have held the lock at the moment of the fork.
+    """
+    global _templates, _templates_lock
+    _templates = OrderedDict()
+    _templates_lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_templates)
+
+
+def _clone_schema(ddl: str) -> sqlite3.Connection:
+    """A fresh ``:memory:`` connection holding the tables of ``ddl``.
+
+    The ``CREATE TABLE`` script runs once per DDL text, into a template
+    database; each new connection is a page copy of that template
+    (``Connection.backup``), which costs a small fraction of re-running
+    the script.  ``PRAGMA foreign_keys`` is per connection, so the
+    caller turns it on in the clone.
+    """
+    conn = sqlite3.connect(":memory:")
+    try:
+        with _templates_lock:
+            template = _templates.get(ddl)
+            if template is None:
+                template = sqlite3.connect(":memory:", check_same_thread=False)
+                try:
+                    template.executescript(ddl)
+                except sqlite3.Error:
+                    template.close()
+                    raise
+                _templates[ddl] = template
+                if len(_templates) > _TEMPLATE_LIMIT:
+                    _templates.popitem(last=False)[1].close()
+            else:
+                _templates.move_to_end(ddl)
+            template.backup(conn)
+    except sqlite3.Error:
+        conn.close()
+        raise
+    return conn
 
 
 # ---------------------------------------------------------------------------
@@ -559,10 +629,22 @@ class SqliteBackend:
         return BackendCapabilities()
 
     def load(self, db: Database) -> SqliteHandle:
-        conn = sqlite3.connect(":memory:")
-        conn.execute("PRAGMA foreign_keys=ON")
+        """Load ``db`` into a fresh in-memory SQLite database.
+
+        The tables come from a per-DDL template (:func:`_clone_schema`),
+        so a campaign or conformance run renders and executes its
+        schema's ``CREATE TABLE`` script once, not once per dataset.
+        ``PRAGMA foreign_keys=ON`` is set on the clone before the rows
+        go in through the export module's INSERT script, so SQLite
+        checks every PK, FK and NOT NULL constraint as the rows load:
+        a violation raises :class:`~repro.errors.IntegrityError`.
+        """
         try:
-            conn.executescript(schema_to_sqlite_ddl(db.schema))
+            conn = _clone_schema(_schema_ddl(db.schema))
+        except sqlite3.Error as exc:
+            raise BackendError(f"sqlite load failed: {exc}") from exc
+        try:
+            conn.execute("PRAGMA foreign_keys=ON")
             script = to_insert_script(db, quote_identifiers=True)
             if script:
                 conn.executescript(script)

@@ -23,6 +23,7 @@ requeued attempt succeeds and tests can assert full recovery.
 
 from __future__ import annotations
 
+import functools
 import os
 import random
 import time
@@ -189,6 +190,17 @@ def _evolved_datasets(
     return variants
 
 
+@functools.lru_cache(maxsize=1)
+def _university_schema():
+    """The process's one university schema, built on first use.
+
+    Every case of a worker shares it, so the memos kept on the schema
+    instance (its canonical rendering, its SQLite DDL text) are paid
+    for once per process rather than once per case.
+    """
+    return university_schema()
+
+
 def run_case(task: CaseTask) -> CaseResult:
     """Generate datasets for ``task.sql`` and run every oracle.
 
@@ -199,9 +211,8 @@ def run_case(task: CaseTask) -> CaseResult:
     started = time.monotonic()
     _maybe_fault(task.index)
     result = CaseResult(task.index, task.sql)
-    schema = university_schema()
     try:
-        suite = XDataGenerator(schema).generate(task.sql)
+        suite = XDataGenerator(_university_schema()).generate(task.sql)
         space = enumerate_mutants(suite.analyzed, include_full_outer=True)
     except XDataError as exc:
         result.skipped = f"{type(exc).__name__}: {exc}"

@@ -5,8 +5,8 @@ datasets — and either stays silent or vetoes it by raising
 :class:`~repro.backends.BackendDisagreement`.  Three oracles ship:
 
 * **cross-check** — the dual-execution differential oracle of DESIGN.md
-  §5f: every plan runs on the engine and on SQLite and the result bags
-  must agree.  Skips (rather than vetoes) constructs the SQLite printer
+  §5f: every plan runs on the engine (on the batch subplan cache, the
+  path grading uses) and on SQLite and the result bags must agree.  Skips (rather than vetoes) constructs the SQLite printer
   cannot mirror, so the campaign keeps probing them with the
   self-checks below.
 * **duplicate-sensitivity** — transformation self-check in the mold of
@@ -38,9 +38,10 @@ from typing import Iterator, Protocol, runtime_checkable
 from repro.backends import BackendCapabilityError, BackendDisagreement
 from repro.engine.database import Database
 from repro.engine.plan import JoinNode, PlanNode, ProjectNode, SelectNode
+from repro.engine.subplan import SubplanCache
 from repro.mutation.space import MutationSpace
 from repro.sql.ast import JoinKind, SelectItem, Star
-from repro.testing.killcheck import result_signature
+from repro.testing.killcheck import attached_subplan_cache, result_signature
 from repro.testing.minimize import minimize_dataset
 
 __all__ = [
@@ -126,22 +127,9 @@ class CrossCheckOracle:
         return outcome
 
     def minimize(self, exc: BackendDisagreement, ctx: OracleContext) -> Database:
-        def still_disagrees(db: Database) -> bool:
-            handles = []
-            try:
-                signatures = []
-                for backend in (ctx.primary, ctx.reference):
-                    handle = backend.load(db)
-                    handles.append((backend, handle))
-                    signatures.append(
-                        result_signature(backend.execute(handle, exc.plan))
-                    )
-                return signatures[0] != signatures[1]
-            finally:
-                for backend, handle in handles:
-                    backend.close(handle)
+        from repro.testing.conformance import minimize_disagreement
 
-        return minimize_dataset(exc.dataset, still_disagrees)
+        return minimize_disagreement(exc, ctx.primary, ctx.reference)
 
 
 # ---------------------------------------------------------------------------
@@ -278,33 +266,44 @@ class DuplicateSensitivityOracle:
     def check(self, ctx: OracleContext) -> OracleOutcome:
         outcome = OracleOutcome(self.name)
         backend = ctx.primary
-        for db in ctx.databases:
-            handle = backend.load(db)
-            try:
-                for what, plan in self._plans(ctx):
-                    base = None
-                    for label, transformed in duplicate_sensitivity_transforms(
-                        plan
-                    ):
-                        if base is None:
-                            base = backend.execute(handle, plan)
-                            outcome.executions += 1
-                        out = backend.execute(handle, transformed)
+        # The transforms depend on the plan only, so they are derived
+        # once per case; the case's plans and transforms share one batch
+        # subplan cache, as the cross-check's mutants do.
+        checks = [
+            (what, plan, transforms)
+            for what, plan in self._plans(ctx)
+            if (transforms := list(duplicate_sensitivity_transforms(plan)))
+        ]
+        cache = SubplanCache()
+        for _, plan, transforms in checks:
+            cache.register(plan)
+            for _, transformed in transforms:
+                cache.register(transformed)
+        with attached_subplan_cache((backend,), cache):
+            for db in ctx.databases:
+                handle = backend.load(db)
+                try:
+                    for what, plan, transforms in checks:
+                        base = backend.execute(handle, plan)
                         outcome.executions += 1
-                        outcome.checks += 1
-                        if result_signature(out) != result_signature(base):
-                            raise BackendDisagreement(
-                                f"{ctx.label}: {what} under "
-                                f"duplicate-sensitivity transform "
-                                f"[{label}]",
-                                "",
-                                db,
-                                {"original": base, label: out},
-                                plan=transformed,
-                                oracle=self.name,
-                            )
-            finally:
-                backend.close(handle)
+                        for label, transformed in transforms:
+                            out = backend.execute(handle, transformed)
+                            outcome.executions += 1
+                            outcome.checks += 1
+                            if result_signature(out) != result_signature(base):
+                                raise BackendDisagreement(
+                                    f"{ctx.label}: {what} under "
+                                    f"duplicate-sensitivity transform "
+                                    f"[{label}]",
+                                    "",
+                                    db,
+                                    {"original": base, label: out},
+                                    plan=transformed,
+                                    oracle=self.name,
+                                )
+                finally:
+                    backend.close(handle)
+                    cache.drop_dataset(db)
         return outcome
 
     def minimize(self, exc: BackendDisagreement, ctx: OracleContext) -> Database:
@@ -322,13 +321,16 @@ class DuplicateSensitivityOracle:
         base_plan, transformed_plan = pairs[0]
 
         def still_disagrees(db: Database) -> bool:
-            handle = ctx.primary.load(db)
-            try:
-                a = ctx.primary.execute(handle, base_plan)
-                b = ctx.primary.execute(handle, transformed_plan)
-                return result_signature(a) != result_signature(b)
-            finally:
-                ctx.primary.close(handle)
+            # A cache per candidate: the split reproduces on the path it
+            # was found on, and no entry outlives the candidate.
+            with attached_subplan_cache((ctx.primary,), SubplanCache()):
+                handle = ctx.primary.load(db)
+                try:
+                    a = ctx.primary.execute(handle, base_plan)
+                    b = ctx.primary.execute(handle, transformed_plan)
+                    return result_signature(a) != result_signature(b)
+                finally:
+                    ctx.primary.close(handle)
 
         return minimize_dataset(exc.dataset, still_disagrees)
 

@@ -93,15 +93,19 @@ def estimate_entry_bytes(value) -> int:
     cache's working set is bounded and dataset-sized.
     """
     rows = getattr(value, "rows", None)
-    if rows is None and isinstance(value, tuple):
+    if rows is None and isinstance(value, tuple) and value:
+        if isinstance(value[0], dict):
+            # Group partitions: (key -> row list, first-seen key order).
+            groups, order = value
+            total = (
+                sys.getsizeof(value) + sys.getsizeof(groups)
+                + sys.getsizeof(order)
+            )
+            for group_rows in groups.values():
+                total += sys.getsizeof(group_rows)
+            return total
         # Kernel entries: (rows, left_matched, right_matched, ...).
-        rows = value[0] if value and isinstance(value[0], list) else None
-    if rows is None and isinstance(value, dict):
-        # Group partitions: key -> row list.
-        total = sys.getsizeof(value)
-        for group_rows in value.values():
-            total += sys.getsizeof(group_rows)
-        return total
+        rows = value[0] if isinstance(value[0], list) else None
     if rows is None:
         return sys.getsizeof(value)
     # Rows of one entry are near-uniform in width, and the counter only

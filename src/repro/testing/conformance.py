@@ -36,7 +36,7 @@ from repro.engine.subplan import SubplanCache
 from repro.errors import XDataError
 from repro.mutation.space import enumerate_mutants
 from repro.schema.catalog import Schema
-from repro.testing.killcheck import mutant_order
+from repro.testing.killcheck import attached_subplan_cache, mutant_order
 
 #: Single-column equi-join edges of the university schema, as
 #: (left "table alias", right "table alias", join condition) triples.
@@ -324,19 +324,27 @@ class ConformanceReport:
 
 
 def _still_disagrees(plan, primary, reference):
-    """A predicate over datasets: do the backends still split on ``plan``?"""
+    """A predicate over datasets: do the backends still split on ``plan``?
+
+    Each candidate runs the primary on the same path the split was
+    found on: a fresh :class:`SubplanCache` scoped to that one
+    candidate, so a fault only the cached engine has still reproduces,
+    and no entry outlives the candidate whose ``id`` keys it (the
+    minimizer builds and drops many short-lived datasets).
+    """
     from repro.testing.killcheck import result_signature
 
     def predicate(db: Database) -> bool:
         handles = []
         try:
-            signatures = []
-            for backend in (primary, reference):
-                handle = backend.load(db)
-                handles.append((backend, handle))
-                signatures.append(
-                    result_signature(backend.execute(handle, plan))
-                )
+            with attached_subplan_cache((primary,), SubplanCache()):
+                signatures = []
+                for backend in (primary, reference):
+                    handle = backend.load(db)
+                    handles.append((backend, handle))
+                    signatures.append(
+                        result_signature(backend.execute(handle, plan))
+                    )
             return signatures[0] != signatures[1]
         finally:
             for backend, handle in handles:
@@ -345,30 +353,34 @@ def _still_disagrees(plan, primary, reference):
     return predicate
 
 
-def cross_check_space(
-    space,
-    databases,
-    primary,
-    reference,
-    label: str,
-    cache: SubplanCache | None = None,
-) -> int:
+def cross_check_space(space, databases, primary, reference, label: str) -> int:
     """Dual-execute the original plan and every mutant over every dataset.
 
     The shared execution core of the conformance harness and the
-    campaign's cross-check oracle: one :class:`CrossChecker` pass per
+    campaign's cross-check oracle.  It owns one batch
+    :class:`SubplanCache`: the original plan and every mutant are
+    registered once, and the cache is attached to the primary for the
+    call (:func:`attached_subplan_cache` gives the primary its previous
+    cache back on the way out), so the engine side runs the same slot
+    path as grading (DESIGN.md §5g) while SQLite re-executes every tree
+    as an independent evaluation.  One :class:`CrossChecker` pass per
     dataset in cache-friendly mutant order, releasing backend handles
-    (and the subplan cache's per-dataset entries) before moving on.
-    Returns the number of cross-checked executions; raises
+    and the dataset's cache entries before moving on.  Returns the
+    number of cross-checked executions; raises
     :class:`BackendDisagreement` on the first split, *without*
-    minimizing (the caller owns minimization — it may need to detach
-    caches first).
+    minimizing (the caller owns minimization, which runs after the
+    batch cache is detached).
     """
     plan = space.original_plan
     order = mutant_order(space.mutants)
+    cache = SubplanCache()
+    cache.register(plan)
+    for mutant in space.mutants:
+        cache.register(mutant.plan)
     executions = 0
-    checker = CrossChecker(primary, reference)
-    try:
+    with attached_subplan_cache((primary,), cache), CrossChecker(
+        primary, reference
+    ) as checker:
         for db in databases:
             checker.signature(plan, db, f"{label}: original query")
             executions += 1
@@ -381,10 +393,7 @@ def cross_check_space(
                 )
                 executions += 1
             checker.release(db)
-            if cache is not None:
-                cache.drop_dataset(db)
-    finally:
-        checker.close()
+            cache.drop_dataset(db)
     return executions
 
 
@@ -426,22 +435,14 @@ def run_conformance_case(
     databases = list(suite.databases)
     if include_sample_db:
         databases.append(university_sample_database(schema))
-    # The engine side of the cross-check shares unchanged subtrees
-    # across the mutant batch (DESIGN.md §5g); SQLite re-executes every
-    # tree, so the cross-check still compares independent evaluations.
-    cache = SubplanCache()
-    primary = EngineBackend(subplan_cache=cache)
+    primary = EngineBackend()
     reference = SqliteBackend(force_join_rewrites=force_join_rewrites)
     try:
         case.executions = cross_check_space(
-            space, databases, primary, reference, f"seed {seed}", cache
+            space, databases, primary, reference, f"seed {seed}"
         )
     except BackendDisagreement as exc:
         if exc.plan is not None:
-            # Detach the cache first: minimization churns through many
-            # short-lived candidate datasets, and ``id(db)`` keys are
-            # only safe while every cached dataset stays alive.
-            primary.subplan_cache = None
             exc.minimized = minimize_disagreement(exc, primary, reference)
         raise
     case.mutants = len(space.mutants)

@@ -9,8 +9,13 @@ RIGHT/FULL compatibility rewrites forced on.
 
 from __future__ import annotations
 
+import pickle
+import sys
+import threading
+
 import pytest
 
+from repro.backends import sqlite as sqlite_backend
 from repro.backends import (
     BACKENDS,
     Backend,
@@ -30,6 +35,8 @@ from repro.engine.plan import compile_query
 from repro.engine.relation import Relation
 from repro.errors import IntegrityError
 from repro.mutation import enumerate_mutants
+from repro.schema.catalog import Column, Schema, Table
+from repro.schema.types import SqlType
 from repro.sql.parser import parse_query
 from repro.testing.killcheck import evaluate_suite, result_signature
 
@@ -133,6 +140,130 @@ def test_sqlite_enforces_foreign_keys_pragma(uni_db):
         backend.close(handle)
 
 
+class TestSchemaTemplate:
+    """``SqliteBackend.load`` clones each dataset's tables from one
+    template database per DDL text; a clone must enforce exactly what
+    running the DDL on a fresh connection enforced."""
+
+    @pytest.mark.parametrize("kind", ["dup-pk", "null-pk", "dangling-fk"])
+    def test_clones_reject_what_the_ddl_rejects(self, kind, uni_schema, uni_db):
+        backend = SqliteBackend()
+        backend.close(backend.load(uni_db))  # the template now exists
+        with pytest.raises(IntegrityError):
+            backend.load(_violating_databases(uni_schema)[kind])
+
+    def test_clones_are_independent(self, uni_db):
+        backend = SqliteBackend()
+        one, two = backend.load(uni_db), backend.load(uni_db)
+        try:
+            count = "SELECT COUNT(*) FROM department"
+            (before,) = two.conn.execute(count).fetchone()
+            one.conn.execute(
+                "INSERT INTO department VALUES ('Astro', 'Taylor', 1)"
+            )
+            assert one.conn.execute(count).fetchone() == (before + 1,)
+            assert two.conn.execute(count).fetchone() == (before,)
+            for handle in (one, two):
+                (enabled,) = handle.conn.execute(
+                    "PRAGMA foreign_keys"
+                ).fetchone()
+                assert enabled == 1
+        finally:
+            backend.close(one)
+            backend.close(two)
+
+    def test_concurrent_loads_all_succeed(self):
+        # A DDL text no other test uses, so the threads race to create
+        # its template as well as to clone it.
+        schema = Schema([Table(
+            "concurrent_load",
+            [Column("a", SqlType.INT), Column("b", SqlType.INT)],
+            primary_key=("a",),
+        )])
+        barrier = threading.Barrier(4)
+        counts, errors = [], []
+
+        def load():
+            db = Database(schema)
+            db.insert_rows("concurrent_load", [(1, 2), (3, 4)])
+            backend = SqliteBackend()
+            try:
+                barrier.wait()
+                for _ in range(5):
+                    handle = backend.load(db)
+                    counts.append(handle.conn.execute(
+                        "SELECT COUNT(*) FROM concurrent_load"
+                    ).fetchone()[0])
+                    backend.close(handle)
+            except Exception as exc:  # reported below, not swallowed
+                errors.append(exc)
+
+        threads = [threading.Thread(target=load) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert counts == [2] * 20
+        # The racing threads created one template, not one each.
+        assert sum(
+            "concurrent_load" in ddl for ddl in sqlite_backend._templates
+        ) == 1
+
+    def test_forked_child_loads_without_the_parents_lock(self, uni_db):
+        """A child forked while the parent holds the template lock (or
+        owns template connections) starts with its own: its load neither
+        waits on the parent's lock nor uses the parent's connections."""
+        import os
+        import time
+
+        backend = SqliteBackend()
+        backend.close(backend.load(uni_db))
+        with sqlite_backend._templates_lock:
+            pid = os.fork()
+            if pid == 0:  # the child: exit 0 only if the load worked
+                code = 1
+                try:
+                    backend.close(backend.load(uni_db))
+                    code = 0
+                finally:
+                    os._exit(code)
+        deadline = time.monotonic() + 20
+        while True:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            if time.monotonic() > deadline:
+                os.kill(pid, 9)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child's load hung")
+            time.sleep(0.01)
+        assert os.waitstatus_to_exitcode(status) == 0
+
+    def test_loaded_schema_still_pickles(self, uni_schema, uni_db):
+        backend = SqliteBackend()
+        backend.close(backend.load(uni_db))
+        copy = pickle.loads(pickle.dumps(uni_schema))
+        assert copy.table_names == uni_schema.table_names
+        assert schema_to_sqlite_ddl(copy) == schema_to_sqlite_ddl(uni_schema)
+
+    def test_template_map_is_bounded(self):
+        backend = SqliteBackend()
+        for index in range(sqlite_backend._TEMPLATE_LIMIT + 8):
+            schema = Schema([Table(
+                f"bounded_{index}", [Column("a", SqlType.INT)],
+                primary_key=("a",),
+            )])
+            backend.close(backend.load(Database(schema)))
+        assert len(sqlite_backend._templates) <= sqlite_backend._TEMPLATE_LIMIT
+
+
 def test_university_foreign_keys_all_declarable(uni_schema):
     assert undeclarable_foreign_keys(uni_schema) == []
     ddl = schema_to_sqlite_ddl(uni_schema)
@@ -181,6 +312,26 @@ def test_cross_checker_passes_when_backends_agree(uni_db):
         signature = checker.signature(plan, uni_db, "Q1")
     assert signature == signature_on(EngineBackend(), uni_db,
                                      UNIVERSITY_QUERIES["Q1"]["sql"])
+
+
+def test_cross_checker_signs_each_result_once(uni_db, monkeypatch):
+    """One shadowed execution signs one result per backend: the
+    signature the comparison computed is the one returned."""
+    from repro.testing import killcheck
+
+    signed = []
+    real = killcheck.result_signature
+
+    def counting(relation):
+        signed.append(relation)
+        return real(relation)
+
+    monkeypatch.setattr(killcheck, "result_signature", counting)
+    plan = compile_query(parse_query(UNIVERSITY_QUERIES["Q1"]["sql"]))
+    with CrossChecker(EngineBackend(), SqliteBackend()) as checker:
+        signature = checker.signature(plan, uni_db, "Q1")
+    assert len(signed) == 2
+    assert signature == real(signed[0])
 
 
 def test_cross_checker_raises_structured_disagreement(uni_db):

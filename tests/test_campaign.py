@@ -427,6 +427,105 @@ class TestRunCase:
         assert result.skipped is None and result.bug is None
 
 
+#: Fixed conformance-grammar cases (case index, SQL) with every oracle
+#: on, and the counts ``run_case`` gave for each before the cross-check
+#: moved onto the slot-table engine: ``(executions, checks, skipped,
+#: per-oracle (oracle, executions, checks, skipped))``.
+_ALL_ORACLES = ("cross-check", "duplicate-sensitivity", "join-identity")
+_PINNED_CASES = [
+    (
+        0, "SELECT d.building, SUM(d.budget) FROM department d "
+        "WHERE d.budget IS NOT NULL GROUP BY d.building",
+        (57, 42, None, [("cross-check", 27, 27, None),
+                        ("duplicate-sensitivity", 30, 15, None),
+                        ("join-identity", 0, 0, "no join nodes")]),
+    ),
+    (
+        1, "SELECT * FROM instructor i WHERE i.salary <> 75000 "
+        "AND i.salary <= 45000",
+        (155, 130, None, [("cross-check", 55, 55, None),
+                          ("duplicate-sensitivity", 100, 75, None),
+                          ("join-identity", 0, 0, "no join nodes")]),
+    ),
+    (
+        3, "SELECT * FROM advisor a, instructor i WHERE a.i_id = i.id",
+        (14, 12, None, [("cross-check", 8, 8, None),
+                        ("duplicate-sensitivity", 6, 4, None),
+                        ("join-identity", 0, 0, "no join nodes")]),
+    ),
+    (
+        4, "SELECT * FROM teaches t RIGHT OUTER JOIN course c "
+        "ON t.course_id = c.course_id WHERE t.year = 2006 AND c.credits < 1",
+        (312, 248, None, [("cross-check", 112, 112, None),
+                          ("duplicate-sensitivity", 168, 128, None),
+                          ("join-identity", 32, 8, None)]),
+    ),
+    (
+        8, "SELECT * FROM student s, department d WHERE s.dept_name = d.dept_name",
+        (14, 12, None, [("cross-check", 8, 8, None),
+                        ("duplicate-sensitivity", 6, 4, None),
+                        ("join-identity", 0, 0, "no join nodes")]),
+    ),
+    (
+        9, "SELECT * FROM instructor i NATURAL RIGHT OUTER JOIN student s",
+        (56, 35, None, [("cross-check", 28, 28, None),
+                        ("duplicate-sensitivity", 0, 0, None),
+                        ("join-identity", 28, 7, None)]),
+    ),
+]
+
+
+def _pinned_task(position: int) -> CaseTask:
+    index, sql, _ = _PINNED_CASES[position]
+    return CaseTask(
+        index=index,
+        sql=sql,
+        oracles=_ALL_ORACLES,
+        force_join_rewrites=bool(index % 2),
+        dataset_drop=0.5,
+        drop_seed=index,
+    )
+
+
+class TestCachedPathFuzzing:
+    """The cross-check oracle runs the engine on the slot table, the path
+    grading uses, so a fault planted there is a campaign finding."""
+
+    def test_counts_are_unchanged(self):
+        for position, (_, sql, expected) in enumerate(_PINNED_CASES):
+            result = run_case(_pinned_task(position))
+            runs = [
+                (run.oracle, run.executions, run.checks, run.skipped)
+                for run in result.oracle_runs
+            ]
+            assert result.bug is None
+            assert (
+                result.executions, result.checks, result.skipped, runs
+            ) == expected, sql
+
+    def test_fault_in_the_slot_table_is_reported(self, monkeypatch):
+        from repro.engine import executor
+
+        project = executor._SLOT_RUNNERS[ProjectNode]
+
+        def drop_last_row(*args):
+            out = project(*args)
+            if len(out.rows) > 1:
+                return Relation(list(out.columns), list(out.rows[:-1]))
+            return out
+
+        monkeypatch.setitem(executor._SLOT_RUNNERS, ProjectNode, drop_last_row)
+        bugs = [run_case(_pinned_task(position)).bug for position in (2, 4, 5)]
+        assert all(bug is not None for bug in bugs)
+        assert {bug.oracle for bug in bugs} == {"cross-check"}
+        # The minimizer checks candidates on the same cached path, so the
+        # repro shrinks instead of staying the whole triggering dataset.
+        assert all(
+            sum(map(len, bug.minimized_dataset.values())) <= 12
+            for bug in bugs
+        )
+
+
 # ---------------------------------------------------------------------------
 # driver
 # ---------------------------------------------------------------------------

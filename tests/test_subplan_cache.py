@@ -268,6 +268,34 @@ class TestDatasetIsolation:
         report = evaluate_suite(space, databases)
         assert report.cache_stats["bytes"] == distinct_bytes
 
+    def test_group_partition_charges_its_row_lists(self, uni_schema_nofk):
+        """A GROUP BY partition — ``(groups dict, key order)`` as the
+        executor stores it — is charged for its dict, its per-group row
+        lists and its order list, not as a bare 2-tuple."""
+        import sys
+
+        db = Database(uni_schema_nofk)
+        db.insert_rows(
+            "instructor",
+            [(i, f"n{i}", f"d{i % 100}", 50000) for i in range(5000)],
+        )
+        plan = compile_query(parse_query(
+            "SELECT i.dept_name, COUNT(*) FROM instructor i "
+            "GROUP BY i.dept_name"
+        ))
+        cache = SubplanCache()
+        execute_plan(plan, db, cache)
+        (partition,) = [
+            value for key, value in cache.entries(db).values.items()
+            if key[0] == "G"
+        ]
+        groups, order = partition
+        assert len(groups) == len(order) == 100
+        row_lists = sum(sys.getsizeof(rows) for rows in groups.values())
+        assert estimate_entry_bytes(partition) >= row_lists + sys.getsizeof(
+            groups
+        ) + sys.getsizeof(order)
+
 
 class TestCachedUncachedEquivalence:
     @pytest.mark.parametrize(
