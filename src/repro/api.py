@@ -45,6 +45,7 @@ from repro.core.generator import (
     XDataGenerator,
 )
 from repro.engine.database import Database
+from repro.memo import Memo
 from repro.mutation.space import MutationSpace, enumerate_mutants
 from repro.schema.catalog import Schema
 from repro.schema.ddl import as_schema
@@ -272,6 +273,10 @@ def fingerprint(schema: Schema | str, query, config: GenConfig | None = None) ->
     return _fingerprint(schema, query, config)
 
 
+#: Runs (and, separately, evaluations) a :class:`Session` memoizes.
+SESSION_MEMO_SIZE = 256
+
+
 class Session:
     """Repeated generation/evaluation against one schema, with caching.
 
@@ -286,7 +291,7 @@ class Session:
 
     Thread-safety: safe for concurrent ``generate`` / ``evaluate``
     calls; concurrent solves of *different* queries proceed in
-    parallel, duplicate fingerprints are single-flighted by the dict
+    parallel, duplicate fingerprints are single-flighted by the memo
     check (a rare double solve is benign — both produce identical
     suites).
     """
@@ -305,8 +310,8 @@ class Session:
         self.options = options or EvalOptions()
         self._generator = XDataGenerator(self.schema, self.config)
         self._config_canon = canonical_config(self.config)
-        self._runs: dict[str, Run] = {}
-        self._evaluations: dict[str, Evaluation] = {}
+        self._runs = Memo(SESSION_MEMO_SIZE)
+        self._evaluations = Memo(SESSION_MEMO_SIZE)
 
     # -- content addressing --------------------------------------------
 
@@ -336,9 +341,13 @@ class Session:
         object.
         """
         sql, key = self._canonical(query)
+        return self._run(sql, key)
+
+    def _run(self, sql: str, key: str) -> Run:
         run = self._runs.get(key)
         if run is None:
-            run = self._runs[key] = Run(self._generator.generate(sql))
+            run = Run(self._generator.generate(sql))
+            self._runs.put(key, run)
         return run
 
     def evaluate(self, query, options: EvalOptions | None = None) -> Evaluation:
@@ -353,10 +362,8 @@ class Session:
         key = f"{digest}|{opts!r}"
         evaluation = self._evaluations.get(key)
         if evaluation is None:
-            run = self._runs.get(digest)
-            if run is None:
-                run = self._runs[digest] = Run(self._generator.generate(sql))
-            evaluation = self._evaluations[key] = _evaluate_run(run, opts)
+            evaluation = _evaluate_run(self._run(sql, digest), opts)
+            self._evaluations.put(key, evaluation)
         return evaluation
 
     # -- bookkeeping ---------------------------------------------------

@@ -30,10 +30,7 @@ has bignums.  The conformance grammar stays inside the common subset.
 
 from __future__ import annotations
 
-import os
 import sqlite3
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, replace
 
 from repro.backends.base import BackendCapabilities, BackendError
@@ -51,6 +48,7 @@ from repro.engine.plan import (
 from repro.engine.relation import Relation
 from repro.engine.values import normalize_value
 from repro.errors import ExecutionError, IntegrityError
+from repro.memo import Memo
 from repro.schema.catalog import ForeignKey, Schema
 from repro.schema.types import SqlType
 from repro.sql.ast import (
@@ -148,29 +146,12 @@ def _schema_ddl(schema: Schema) -> str:
     return ddl
 
 
-#: Bound on the schema templates kept at once (as ``_DDL_MEMO_SIZE``
-#: bounds the DDL parse memo); the least recently used is closed.
-_TEMPLATE_LIMIT = 32
-#: DDL text -> an empty in-memory database holding exactly that schema.
-_templates: OrderedDict[str, sqlite3.Connection] = OrderedDict()
-#: Guards the template map and every backup out of a template: a
-#: template connection is shared by all threads (``check_same_thread``
-#: is off), so one lock serialises its use.
-_templates_lock = threading.Lock()
-
-
-def _forget_templates() -> None:
-    """In a forked child: start with no templates and a fresh lock.
-
-    SQLite connections must not be carried across ``fork``, and a
-    parent thread may have held the lock at the moment of the fork.
-    """
-    global _templates, _templates_lock
-    _templates = OrderedDict()
-    _templates_lock = threading.Lock()
-
-
-os.register_at_fork(after_in_child=_forget_templates)
+#: DDL text -> an empty in-memory database holding exactly that schema;
+#: an evicted one is closed, and a forked child starts empty.  Templates
+#: are shared by all threads, so every backup holds the memo's lock.
+_TEMPLATES = Memo(
+    32, on_evict=sqlite3.Connection.close, name="sqlite_template", fork_safe=False
+)
 
 
 def _clone_schema(ddl: str) -> sqlite3.Connection:
@@ -184,8 +165,8 @@ def _clone_schema(ddl: str) -> sqlite3.Connection:
     """
     conn = sqlite3.connect(":memory:")
     try:
-        with _templates_lock:
-            template = _templates.get(ddl)
+        with _TEMPLATES.lock:
+            template = _TEMPLATES.get(ddl)
             if template is None:
                 template = sqlite3.connect(":memory:", check_same_thread=False)
                 try:
@@ -193,11 +174,7 @@ def _clone_schema(ddl: str) -> sqlite3.Connection:
                 except sqlite3.Error:
                     template.close()
                     raise
-                _templates[ddl] = template
-                if len(_templates) > _TEMPLATE_LIMIT:
-                    _templates.popitem(last=False)[1].close()
-            else:
-                _templates.move_to_end(ddl)
+                _TEMPLATES.put(ddl, template)
             template.backup(conn)
     except sqlite3.Error:
         conn.close()

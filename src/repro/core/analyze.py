@@ -127,21 +127,6 @@ class AnalyzedQuery:
     def attr_type(self, attr: Attr) -> SqlType:
         return column_type(self.schema, self.table_of(attr.binding), attr.column)
 
-    def all_join_predicates(self) -> list[PredInfo]:
-        """Equivalence classes rendered as predicates, plus other joins."""
-        preds = list(self.other_joins)
-        for ec in self.eq_classes:
-            for first, second in zip(ec, ec[1:]):
-                pred = Comparison(
-                    "=",
-                    ColumnRef(first.binding, first.column),
-                    ColumnRef(second.binding, second.column),
-                )
-                preds.append(
-                    PredInfo(pred, frozenset({first.binding, second.binding}), "on")
-                )
-        return preds
-
 
 class _UnionFind:
     def __init__(self):

@@ -39,6 +39,7 @@ from repro.core.spec import DatasetSpec, SkippedTarget
 from repro.core.tuplespace import ProblemSpace
 from repro.engine.database import Database
 from repro.errors import GenerationError, SolverLimitError
+from repro.memo import Memo
 from repro.obs import Metrics, Tracer
 from repro.obs.trace import NULL_TRACER
 from repro.schema.catalog import Schema
@@ -436,68 +437,20 @@ def _original_spec(aq: AnalyzedQuery) -> DatasetSpec:
     )
 
 
-#: Parsed-AST cache keyed by query text.  The AST is
-#: immutable — every node in :mod:`repro.sql.ast` is a frozen dataclass and
-#: neither analysis nor decorrelation mutates one — so a single parse can
-#: serve every generator and schema variant that sees the same SQL text.
-_PARSE_CACHE: dict[str, Query] = {}
+#: Parsed-AST memo keyed by query text.  The AST is immutable — every
+#: node in :mod:`repro.sql.ast` is a frozen dataclass and neither
+#: analysis nor decorrelation mutates one — so a single parse can serve
+#: every generator and schema variant that sees the same SQL text.
+_PARSE_MEMO = Memo(256, name="parse")
 
-
-#: Process-level compiled-skeleton store (DESIGN.md §5j), keyed by the
-#: request fingerprint (canonical schema + query + config — the suite
-#: cache's content address, under which generation is byte-identical)
-#: plus the tuple-space shape signature.  The per-run skeleton cache
-#: amortises compiles across the sibling groups of one ``generate()``
-#: call; this store amortises them across calls — re-running the same
-#: query (benchmark rounds, campaign re-visits, service sessions)
-#: re-uses the compiled shared system and its warm rewrite cache
-#: instead of recompiling per run.  Per process: pool workers each
-#: grow their own store; skeletons are never pickled.
-_SKELETON_STORE: dict[tuple, object] = {}
-_SKELETON_STORE_CAP = 512
-
-#: Process-level declaration-snapshot store, same keying and contract
-#: as :data:`_SKELETON_STORE`: (request fingerprint, shape key) ->
-#: :class:`~repro.core.tuplespace.SpaceSnapshot`.  Snapshots are
-#: already replayed copy-on-write across the sibling specs of one run;
-#: the store replays them across runs of the same request.
-_DECL_STORE: dict[tuple, object] = {}
-
-
-def clear_process_stores() -> None:
-    """Drop every process-level compiled skeleton and declaration
-    snapshot (tests, memory pressure)."""
-    _SKELETON_STORE.clear()
-    _DECL_STORE.clear()
-
-
-def _store_put(store: dict, key: tuple, value) -> None:
-    """Insert with FIFO eviction at the shared cap.  The stores exist
-    for repeat-request workloads; any eviction only costs a recompile
-    or re-declaration on the next visit."""
-    if len(store) >= _SKELETON_STORE_CAP:
-        del store[next(iter(store))]
-    store[key] = value
-
-
-def _request_fingerprint(schema: Schema, query_sql: str, config) -> str:
-    """Content address of one generation request.
-
-    ``query_sql`` must be the *exact* rendered SQL of the analyzed
-    query, not its :func:`~repro.service.fingerprint.canonical_query`
-    form: alias renamings produce identical datasets (so the service
-    suite cache may merge them) but different slot *names*, and the
-    skeleton/declaration stores hold slot-name-addressed state.
-    """
-    from repro.service.fingerprint import (
-        canonical_config,
-        canonical_schema,
-        fingerprint_parts,
-    )
-
-    return fingerprint_parts(
-        canonical_schema(schema), query_sql, canonical_config(config)
-    )
+#: Process-level memos of compiled skeletons and declaration snapshots
+#: (DESIGN.md §5j), keyed by ``(ExactScope, shape key)``.  They amortise
+#: compiles and declarations across the sibling specs of one run and
+#: across runs of the same request (benchmark rounds, campaign
+#: re-visits, service sessions).  Per process: pool workers each grow
+#: their own; skeletons are never pickled.
+_SKELETONS = Memo(512, name="skeleton")
+_DECLARATIONS = Memo(512, name="declaration")
 
 
 def _fault_hooks_enabled() -> bool:
@@ -515,15 +468,6 @@ def _bump(counts: dict | None, key: str, amount: int = 1) -> None:
     """Add to a cache counter, when a counts dict is threaded in."""
     if counts is not None:
         counts[key] = counts.get(key, 0) + amount
-
-
-def _parse_cached(query: str) -> Query:
-    parsed = _PARSE_CACHE.get(query)
-    if parsed is None:
-        if len(_PARSE_CACHE) >= 256:
-            _PARSE_CACHE.clear()
-        parsed = _PARSE_CACHE[query] = parse_query(query)
-    return parsed
 
 
 class XDataGenerator:
@@ -591,13 +535,15 @@ class XDataGenerator:
         with tracer.span("generate") as root:
             with tracer.span("parse") as record:
                 if isinstance(query, str):
+                    parsed = _PARSE_MEMO.get(query)
                     if metrics is not None:
                         metrics.inc(
-                            "xdata_cache_parse_hits"
-                            if query in _PARSE_CACHE
-                            else "xdata_cache_parse_misses"
+                            "xdata_cache_parse_misses" if parsed is None
+                            else "xdata_cache_parse_hits"
                         )
-                    parsed = _parse_cached(query)
+                    if parsed is None:
+                        parsed = parse_query(query)
+                        _PARSE_MEMO.put(query, parsed)
                 else:
                     parsed = query
                 if parsed.has_subquery_predicates:
@@ -678,20 +624,7 @@ class XDataGenerator:
                     for spec, result in zip(specs, outcome.results)
                 ]
             else:
-                caches: dict = {}
-                if config.solver.delta_solve and config.unfold:
-                    # Content address of this request.  Scopes the
-                    # process-level skeleton store: same scope ==
-                    # identical (schema, analyzed query text, config) ==
-                    # identical slot declarations and shared constraint
-                    # systems, so cross-run reuse is sound by
-                    # construction.  The exact post-analysis render is
-                    # deliberate — see _request_fingerprint.
-                    from repro.sql.printer import to_sql
-
-                    caches["skeleton_scope"] = _request_fingerprint(
-                        self.schema, to_sql(parsed), config
-                    )
+                caches = self._request_caches(parsed)
                 results = []
                 for index, spec in enumerate(specs):
                     if (
@@ -851,6 +784,16 @@ class XDataGenerator:
             root["attrs"]["degraded"] = len(health.degraded_targets)
         return suite
 
+    def _request_caches(self, parsed: Query) -> dict:
+        """Per-run caches of one request, for :meth:`_run_spec`; the
+        sequential path and every pool worker build them here.  Their
+        ``"scope"`` (:func:`~repro.service.fingerprint.exact_scope`)
+        keys the process skeleton and declaration memos."""
+        from repro.service.fingerprint import exact_scope
+        from repro.sql.printer import to_sql
+
+        return {"scope": exact_scope(self.schema, to_sql(parsed), self.config)}
+
     def _derive_specs(
         self, aq: AnalyzedQuery
     ) -> tuple[list[DatasetSpec], list[SkippedTarget]]:
@@ -965,10 +908,10 @@ class XDataGenerator:
 
     def _skeleton_for(
         self, space: ProblemSpace, spec: DatasetSpec, shared_formulas,
-        skel_cache: dict, counts: dict | None = None,
-        scope: str | None = None,
+        scope: str, counts: dict | None = None,
     ):
-        """Compiled query skeleton for ``spec``'s shape, cached per run.
+        """Compiled query skeleton for ``spec``'s shape, from the
+        process skeleton memo under ``scope``.
 
         The key (:meth:`DatasetSpec.skeleton_signature`) captures
         everything the shared system depends on: copies + support
@@ -980,115 +923,87 @@ class XDataGenerator:
         assert after the delta — called only on a miss, so cache hits
         never build the shared system at all.  Returns
         ``(skeleton, "hit" | "miss")``.
-
-        With ``scope`` set (the request fingerprint) a run-level miss
-        falls through to the process-level :data:`_SKELETON_STORE`, so
-        repeat runs of the same request skip the compile entirely.
         """
-        key = spec.skeleton_signature(
+        key = (scope, spec.skeleton_signature(
             space, self.config.use_fk_support_slots
-        )
-        skeleton = skel_cache.get(key)
+        ))
+        skeleton = _SKELETONS.get(key)
         if skeleton is not None:
             _bump(counts, "skeleton_hits")
             return skeleton, "hit"
-        if scope is not None:
-            store_key = (scope, key)
-            skeleton = _SKELETON_STORE.get(store_key)
-            if skeleton is not None:
-                _bump(counts, "skeleton_hits")
-                skel_cache[key] = skeleton
-                return skeleton, "hit"
         _bump(counts, "skeleton_misses")
         skeleton = compile_skeleton(
             shared_formulas(), space.solver._infos, space.solver.config
         )
-        skel_cache[key] = skeleton
-        if scope is not None:
-            _store_put(_SKELETON_STORE, (scope, key), skeleton)
+        _SKELETONS.put(key, skeleton)
         return skeleton, "miss"
 
     def _declared_space(
         self,
         aq: AnalyzedQuery,
         spec: DatasetSpec,
-        decl_cache: dict,
+        caches: dict,
         search_config: SearchConfig | None = None,
         counts: dict | None = None,
-        scope: str | None = None,
     ) -> ProblemSpace:
         """A fresh, fully-declared problem space for ``spec``.
 
         The declared state depends only on (query, copies, support-column
         sequence), so it is built once per shape and replayed from a
-        snapshot for every sibling attempt and spec.  Support columns
-        vary per spec, so the per-``copies`` base declaration
-        (occurrence slots only) is snapshotted separately and
-        spec-specific support slots are declared incrementally on top —
-        declaration order (occurrence slots first, then support slots)
-        matches a from-scratch build, so interned codes are identical.
-
-        ``scope`` (the request fingerprint, set on the delta-solve
-        path) additionally keys the snapshots into the process-level
-        :data:`_DECL_STORE`, so repeat runs replay them instead of
-        re-declaring.
+        snapshot in the process declaration memo (under the request's
+        ``caches["scope"]``) for every sibling attempt, spec and repeat
+        run.  Support columns vary per spec, so the per-``copies`` base
+        declaration (occurrence slots only) is snapshotted separately
+        and spec-specific support slots are declared incrementally on
+        top — declaration order (occurrence slots first, then support
+        slots) matches a from-scratch build, so interned codes are
+        identical.
         """
         search_config = search_config or self.config.solver
+        scope = caches["scope"]
         support = (
             tuple(spec.support_columns)
             if self.config.use_fk_support_slots
             else ()
         )
-        key = (spec.copies, support)
-        snap = decl_cache.get(key)
-        if snap is None and scope is not None:
-            snap = _DECL_STORE.get((scope, key))
-            if snap is not None:
-                decl_cache[key] = snap
+        key = (scope, spec.copies, support)
+        snap = _DECLARATIONS.get(key)
         if snap is not None:
             _bump(counts, "declaration_hits")
             return ProblemSpace.restore(aq, snap, search_config)
         _bump(counts, "declaration_misses")
-        base_key = (spec.copies, ())
-        base = decl_cache.get(base_key)
-        if base is None and scope is not None:
-            base = _DECL_STORE.get((scope, base_key))
-            if base is not None:
-                decl_cache[base_key] = base
+        base_key = (scope, spec.copies, ())
+        base = _DECLARATIONS.get(base_key) if support else None
         if base is None:
             solver = Solver(search_config)
-            # Sibling base builds (other ``copies`` shapes) declare the
-            # same schema-wide value set in the same first-occurrence
-            # order, so they replay the first base's warm symbol table
-            # (and its frozen universes) instead of re-interning it.
-            warm = decl_cache.get("__warm_symbols__")
+            # Sibling base builds (other ``copies`` shapes) of one run
+            # declare the same schema-wide value set in the same
+            # first-occurrence order, so they replay the first base's
+            # warm symbol table (and its frozen universes) instead of
+            # re-interning it.
+            warm = caches.get("warm")
             if warm is not None:
                 solver.symbols = warm.copy()
                 solver.warm_declarations = True
             space = ProblemSpace(aq, solver, copies=spec.copies)
             space.finalize_declarations()
             base = space.snapshot()
-            decl_cache[base_key] = base
-            if scope is not None:
-                _store_put(_DECL_STORE, (scope, base_key), base)
+            _DECLARATIONS.put(base_key, base)
             if warm is None:
-                decl_cache["__warm_symbols__"] = base.symbols
+                caches["warm"] = base.symbols
         space = ProblemSpace.restore(aq, base, search_config)
         if support:
             for table, column in support:
                 add_fk_support_slots(space, table, column)
             space.finalize_declarations()
-            snap = space.snapshot()
-            decl_cache[key] = snap
-            if scope is not None:
-                _store_put(_DECL_STORE, (scope, key), snap)
+            _DECLARATIONS.put(key, space.snapshot())
         return space
 
     def _run_spec(
         self,
         aq: AnalyzedQuery,
         spec: DatasetSpec,
-        caches: dict | None = None,
+        caches: dict,
         spec_index: int | None = None,
         suite_deadline: float | None = None,
     ) -> SpecResult:
@@ -1100,17 +1015,20 @@ class XDataGenerator:
         The ladder: primary build → primary with escalated node budgets
         (only after a budget trip — UNSAT is definitive) → the spec's
         relaxations → a best-effort ``copies=1`` degradation (failures
-        only, never after a clean UNSAT).
+        only, never after a clean UNSAT).  ``caches`` comes from
+        :meth:`_request_caches`.
         """
-        if caches is None:
-            caches = {}
+        from repro.service.fingerprint import ExactScope
+
+        scope = caches["scope"]
+        if not isinstance(scope, ExactScope):
+            # A canonical fingerprint merges alias respellings whose
+            # slot names differ: it once poisoned these memos (§5j).
+            raise TypeError(
+                "skeleton and declaration memos are keyed by an "
+                f"ExactScope, not {type(scope).__name__}"
+            )
         db_cache = caches.setdefault("db", {})
-        decl_cache = caches.setdefault("decl", {})
-        # Compiled query skeletons (§5j).  Rides the same per-run cache
-        # dict, so pooled runs get one per worker (skeletons hold live
-        # formula objects and are never pickled across the pool).
-        skel_cache = caches.setdefault("skeleton", {})
-        skel_scope = caches.get("skeleton_scope")
         config = self.config
         started = time.perf_counter()
         deadline = (
@@ -1200,9 +1118,9 @@ class XDataGenerator:
                     try:
                         build_start = time.perf_counter()
                         space = self._declared_space(
-                            aq, rung_spec, decl_cache,
+                            aq, rung_spec, caches,
                             self._attempt_config(node_scale, remaining),
-                            counts=counts, scope=skel_scope,
+                            counts=counts,
                         )
                         solver = space.solver
                         # Delta solving (§5j) needs the shared system
@@ -1250,7 +1168,7 @@ class XDataGenerator:
                             # pass is preprocessing, attributed below.
                             skeleton, skel_status = self._skeleton_for(
                                 space, rung_spec, shared_formulas,
-                                skel_cache, counts, scope=skel_scope,
+                                scope, counts,
                             )
                         if inject:
                             from repro.testing import faults

@@ -16,14 +16,14 @@ which do not pickle.  The protocol here sidesteps that:
 
 Workers memoize the derived state per process (keyed by a per-dispatch
 token), so re-derivation costs one analysis per process, not one per
-spec; the per-process database-constraint cache likewise warms up across
-the specs a worker handles.  The same holds for the compiled query
-skeletons of the delta-solve pipeline (DESIGN.md §5j): skeletons hold
-formula graphs with cyclic memo fields and are deliberately *never*
-pickled — each worker compiles (or pulls from its own process-level
-``_SKELETON_STORE``/``_DECL_STORE``) the skeletons for the specs it is
-assigned, and the stores warm up per worker exactly like the
-database-constraint cache.
+spec; the per-run database-constraint cache likewise warms up across
+the specs a worker handles.  The derived state includes the request's
+caches from ``XDataGenerator._request_caches``, as on the sequential
+path, so a worker finds compiled query skeletons and declaration
+snapshots (DESIGN.md §5j) in its own process memos under the same exact
+scope.  Skeletons hold cyclic formula memos and are *never* pickled:
+each worker compiles, or finds in its memo (forked from the parent's),
+the skeletons for the specs it is assigned.
 
 :func:`generate_suites_parallel` applies the same idea one level up for
 multi-query workloads: one task per query, each worker running the full
@@ -82,6 +82,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 from repro.errors import PoolDegradedWarning
+from repro.memo import Memo
 from repro.schema.catalog import Schema
 
 
@@ -108,8 +109,7 @@ def effective_workers(
 _TOKENS = itertools.count(1)
 
 #: Per-worker-process memo: token -> {"payload": ..., "derived": {...}}.
-_WORKER_STATE: dict = {}
-_WORKER_STATE_LIMIT = 8
+_WORKER_STATE = Memo(8)
 
 
 class SupervisedPool:
@@ -248,10 +248,8 @@ def _warn_degraded(detail: str) -> None:
 def _worker_state(token: int, payload: tuple) -> dict:
     state = _WORKER_STATE.get(token)
     if state is None:
-        if len(_WORKER_STATE) >= _WORKER_STATE_LIMIT:
-            _WORKER_STATE.clear()
         state = {"payload": payload, "derived": {}}
-        _WORKER_STATE[token] = state
+        _WORKER_STATE.put(token, state)
     return state
 
 
@@ -313,7 +311,8 @@ class FailedSuite:
 
 
 def _derived_spec_state(state: dict):
-    """(generator, analyzed query, specs, db cache), memoized per token."""
+    """(generator, analyzed query, specs, request caches), memoized per
+    token."""
     derived = state["derived"]
     cached = derived.get("specs")
     if cached is None:
@@ -330,7 +329,7 @@ def _derived_spec_state(state: dict):
             parsed = decorrelate(parsed, schema)
         aq = analyze_query(parsed, schema)
         specs, _skipped = generator._derive_specs(aq)
-        cached = (generator, aq, specs, {})
+        cached = (generator, aq, specs, generator._request_caches(parsed))
         derived["specs"] = cached
     return cached
 

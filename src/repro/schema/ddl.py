@@ -21,9 +21,8 @@ Reuses the SQL lexer; statement separators are semicolons.
 
 from __future__ import annotations
 
-import functools
-
 from repro.errors import ParseError, SchemaError
+from repro.memo import Memo
 from repro.schema.catalog import Column, ForeignKey, Schema, Table
 from repro.schema.types import SqlType
 from repro.sql.lexer import Token, TokenKind, tokenize
@@ -167,29 +166,28 @@ def parse_ddl(ddl: str, allow_nullable_fks: bool = False) -> Schema:
     return Schema(parser.parse_tables(), allow_nullable_fks=allow_nullable_fks)
 
 
-#: Distinct DDL texts whose parsed schema :func:`as_schema` keeps.  A
-#: classroom sends one schema text with every submission; parsing it
-#: would be most of the cost of a service cache hit.
-_DDL_MEMO_SIZE = 32
+#: DDL text -> parsed schema, for :func:`as_schema`.  A classroom sends
+#: one schema text with every submission; parsing it would be most of
+#: the cost of a service cache hit.
+_SCHEMAS = Memo(32, name="schema")
 
 
 def as_schema(schema: Schema | str) -> Schema:
     """Accept a parsed schema or raw DDL text.
 
     DDL text is parsed only the first time its exact text is seen (the
-    last :data:`_DDL_MEMO_SIZE` texts are memoized; a text that fails to
+    last 32 texts are memoized in :data:`_SCHEMAS`; a text that fails to
     parse is not), so every caller handed the same text shares one
     :class:`Schema` and whatever is derived and cached on it.  Schemas
     are validated at construction and never mutated afterwards.
     """
-    if isinstance(schema, str):
-        return _parse_memoized(schema)
-    return schema
-
-
-@functools.lru_cache(maxsize=_DDL_MEMO_SIZE)
-def _parse_memoized(ddl: str) -> Schema:
-    return parse_ddl(ddl)
+    if not isinstance(schema, str):
+        return schema
+    parsed = _SCHEMAS.get(schema)
+    if parsed is None:
+        parsed = parse_ddl(schema)
+        _SCHEMAS.put(schema, parsed)
+    return parsed
 
 
 def to_ddl(schema: Schema) -> str:

@@ -20,9 +20,8 @@ from __future__ import annotations
 
 import json
 import os
-import threading
-from dataclasses import dataclass, field
-from collections import OrderedDict
+
+from repro.memo import CacheStats, Memo
 
 __all__ = ["CacheStats", "SuiteCache", "canonical_bytes"]
 
@@ -39,33 +38,9 @@ def canonical_bytes(payload: dict) -> bytes:
     ).encode("utf-8")
 
 
-@dataclass
-class CacheStats:
-    """Counters exposed via ``/metrics`` and the benchmark report."""
-
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-    stores: int = 0
-
-    def as_dict(self) -> dict:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "stores": self.stores,
-            "hit_rate": self.hit_rate,
-        }
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-
-@dataclass
-class SuiteCache:
-    """Thread-safe byte-budgeted LRU over canonical payload bytes.
+class SuiteCache(Memo):
+    """Thread-safe byte-budgeted LRU over canonical payload bytes: a
+    :class:`~repro.memo.Memo` sized by ``len``, plus persistence.
 
     Attributes:
         max_bytes: Eviction threshold; a single oversized entry is still
@@ -74,76 +49,35 @@ class SuiteCache:
             "second identical request is a hit" contract).
         path: Optional JSON-lines persistence file.  Existing entries
             are loaded eagerly (oldest first, so file order seeds LRU
-            order) and every store appends one line.
+            order; they count as stores) and every store appends one
+            line.
+
+    ``stats`` holds the counters ``/metrics`` reads.
     """
 
-    max_bytes: int = 64 * 1024 * 1024
-    path: str | os.PathLike | None = None
-    stats: CacheStats = field(default_factory=CacheStats)
-
-    def __post_init__(self) -> None:
-        self._lock = threading.Lock()
-        self._entries: OrderedDict[str, bytes] = OrderedDict()
-        self._total = 0
-        if self.path is not None and os.path.exists(self.path):
+    def __init__(
+        self,
+        max_bytes: int = 64 * 1024 * 1024,
+        path: str | os.PathLike | None = None,
+    ) -> None:
+        super().__init__(max_bytes, size=len)
+        self.max_bytes = max_bytes
+        self.path = path
+        if path is not None and os.path.exists(path):
             self._load()
-
-    # ------------------------------------------------------------------
-    # core operations
-    # ------------------------------------------------------------------
-
-    def get(self, key: str) -> bytes | None:
-        """Return the cached bytes for ``key``, refreshing its recency."""
-        with self._lock:
-            value = self._entries.get(key)
-            if value is None:
-                self.stats.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.stats.hits += 1
-            return value
-
-    def peek(self, key: str) -> bytes | None:
-        """Like :meth:`get` but without touching recency or stats."""
-        with self._lock:
-            return self._entries.get(key)
 
     def put(self, key: str, value: bytes) -> None:
         """Store ``value`` under ``key``, evicting LRU entries over budget."""
         if not isinstance(value, bytes):
             raise TypeError(f"cache values must be bytes, got {type(value)}")
-        with self._lock:
-            old = self._entries.pop(key, None)
-            if old is not None:
-                self._total -= len(old)
-            self._entries[key] = value
-            self._total += len(value)
-            self.stats.stores += 1
-            while self._total > self.max_bytes and len(self._entries) > 1:
-                _, evicted = self._entries.popitem(last=False)
-                self._total -= len(evicted)
-                self.stats.evictions += 1
+        with self.lock:
+            super().put(key, value)
             if self.path is not None:
                 self._append(key, value)
 
-    def __contains__(self, key: str) -> bool:
-        with self._lock:
-            return key in self._entries
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
     @property
     def total_bytes(self) -> int:
-        with self._lock:
-            return self._total
-
-    def clear(self) -> None:
-        """Drop all entries (stats are kept; persistence file untouched)."""
-        with self._lock:
-            self._entries.clear()
-            self._total = 0
+        return self.total
 
     # ------------------------------------------------------------------
     # persistence
@@ -155,7 +89,6 @@ class SuiteCache:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
 
     def _load(self) -> None:
-        loaded: OrderedDict[str, bytes] = OrderedDict()
         with open(self.path, encoding="utf-8") as fh:
             for line in fh:
                 line = line.strip()
@@ -169,14 +102,8 @@ class SuiteCache:
                 payload = record.get("payload")
                 if not isinstance(key, str) or not isinstance(payload, str):
                     continue
-                loaded.pop(key, None)  # last write wins, with fresh recency
-                loaded[key] = payload.encode("utf-8")
-        self._entries = loaded
-        self._total = sum(len(v) for v in loaded.values())
-        while self._total > self.max_bytes and len(self._entries) > 1:
-            _, evicted = self._entries.popitem(last=False)
-            self._total -= len(evicted)
-            self.stats.evictions += 1
+                # Last write wins, with fresh recency; not re-appended.
+                Memo.put(self, key, payload.encode("utf-8"))
 
     def compact(self) -> None:
         """Rewrite the persistence file to one line per live entry.
@@ -193,11 +120,11 @@ class SuiteCache:
         """
         if self.path is None:
             return
-        with self._lock:
+        with self.lock:
             tmp = f"{self.path}.tmp.{os.getpid()}"
             try:
                 with open(tmp, "w", encoding="utf-8") as fh:
-                    for key, value in self._entries.items():
+                    for key, value in self.items():
                         record = {
                             "key": key, "payload": value.decode("utf-8"),
                         }

@@ -30,7 +30,8 @@ preserved — it is load-bearing for ``SELECT *`` and CSV round-trips) and
 configs to a stable field rendering that **excludes** the knobs
 documented to never change generated bytes: ``workers`` (pooled runs are
 byte-identical to sequential) and the observability switches ``trace``,
-``metrics``, ``journal_path``.
+``metrics``, ``journal_path``.  :func:`exact_scope` is the other
+content address: the same digest over the *exact* rendered SQL.
 """
 
 from __future__ import annotations
@@ -64,6 +65,8 @@ __all__ = [
     "canonical_schema",
     "canonical_config",
     "canonical_request",
+    "exact_scope",
+    "ExactScope",
     "fingerprint",
     "fingerprint_parts",
 ]
@@ -307,6 +310,24 @@ def canonical_request(
     """
     sql = canonical_query(query)
     return sql, fingerprint_parts(canonical_schema(schema), sql, config_canon)
+
+
+class ExactScope(str):
+    """An :func:`exact_scope` digest, a type apart from :func:`fingerprint`."""
+
+    __slots__ = ()
+
+
+def exact_scope(schema: Schema, query_sql: str, config) -> ExactScope:
+    """Content address of one generation request over the *exact*
+    rendered SQL of its analyzed query, not its :func:`canonical_query`:
+    alias renamings give identical datasets (one :func:`fingerprint`)
+    but different slot *names*, and the generator's skeleton and
+    declaration memos, which accept only this type, hold slot-name-
+    addressed state (DESIGN.md §5j)."""
+    return ExactScope(fingerprint_parts(
+        canonical_schema(schema), query_sql, canonical_config(config)
+    ))
 
 
 def fingerprint_parts(schema_canon: str, query_canon: str, config_canon: str) -> str:

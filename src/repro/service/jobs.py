@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 from repro.api import EvalOptions, Run, _evaluate_run
 from repro.core.generator import Budgets, GenConfig, XDataGenerator
 from repro.engine.export import to_csv_map, to_insert_script
+from repro.memo import memo_counters
 from repro.obs.metrics import Metrics
 from repro.schema.ddl import as_schema
 from repro.service.cache import SuiteCache, canonical_bytes
@@ -376,9 +377,17 @@ class JobQueue:
         return {"cancelled": cancelled, "abandoned": abandoned}
 
     def snapshot(self) -> dict:
-        """Metrics snapshot for ``/metrics`` (queue depth refreshed)."""
+        """Metrics snapshot for ``/metrics`` (queue depth refreshed),
+        with the suite cache's and process memos' counters."""
         self._update_depth()
-        return self.metrics.snapshot()
+        snapshot = self.metrics.snapshot()
+        snapshot["counters"] = dict(sorted({
+            **snapshot["counters"],
+            **memo_counters(),
+            "xdata_service_cache_hits_total": self.cache.stats.hits,
+            "xdata_service_cache_misses_total": self.cache.stats.misses,
+        }.items()))
+        return snapshot
 
     # ------------------------------------------------------------------
     # execution
@@ -430,32 +439,26 @@ class JobQueue:
     def _resolve(self, job: Job, key: str) -> tuple[bytes, bool]:
         """Serve ``key`` from cache or solve it, single-flighted.
 
-        Exactly one cache hit or miss is accounted per executed job:
-        duplicates that waited on an in-flight owner count as hits once
-        the owner's result lands.
+        Exactly one cache hit or miss is accounted per executed job: a
+        job waits out an in-flight owner of its key before its one
+        cache read, so a duplicate counts as a hit once the owner's
+        result lands.  The entry is read once (a second read could find
+        it evicted by another worker's store).
         """
         while True:
-            owner_event = None
             with self._lock:
-                if key in self.cache:
-                    hit = True
-                else:
-                    owner_event = self._inflight.get(key)
-                    if owner_event is None:
+                owner_event = self._inflight.get(key)
+                if owner_event is None:
+                    payload = self.cache.get(key)
+                    if payload is None:
                         self._inflight[key] = threading.Event()
-                        hit = False
             if owner_event is not None:
                 owner_event.wait()
                 continue  # cache now holds it, or the owner failed
-            if hit:
-                self.cache.stats.hits += 1
-                self.metrics.inc("xdata_service_cache_hits_total")
-                payload = self.cache.peek(key)
+            if payload is not None:
                 self._journal_hit(job)
                 return payload, True
             # We own the solve for this key.
-            self.cache.stats.misses += 1
-            self.metrics.inc("xdata_service_cache_misses_total")
             try:
                 payload, complete = self._solve(job)
                 if complete:

@@ -19,7 +19,7 @@ Endpoints:
 * ``GET /metrics`` — Prometheus text exposition from
   :mod:`repro.obs.metrics`, including the service counters
   (``xdata_service_cache_{hits,misses}_total``, job outcomes,
-  queue-depth gauge, latency histograms).
+  queue-depth gauge, latency histograms) and ``xdata_memo_*_total``.
 """
 
 from __future__ import annotations

@@ -14,7 +14,6 @@ bounded arrays of tuples (Section VI-B).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 
 @dataclass(frozen=True)
@@ -264,20 +263,3 @@ def formula_variables(
         return cached
     into.update(cached)
     return into
-
-
-def atoms_of(formulas: Iterable[Formula]) -> list[Atom]:
-    """All atoms in a collection of formulas (duplicates preserved)."""
-    out: list[Atom] = []
-    stack: list[Formula] = list(formulas)
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Atom):
-            out.append(node)
-        elif isinstance(node, (Conj, Disj)):
-            stack.extend(node.parts)
-        elif isinstance(node, Neg):
-            stack.append(node.part)
-        elif isinstance(node, Quantified):
-            stack.extend(node.instances)
-    return out

@@ -213,7 +213,8 @@ class TestSchemaTemplate:
         assert counts == [2] * 20
         # The racing threads created one template, not one each.
         assert sum(
-            "concurrent_load" in ddl for ddl in sqlite_backend._templates
+            "concurrent_load" in ddl
+            for ddl, _ in sqlite_backend._TEMPLATES.items()
         ) == 1
 
     def test_forked_child_loads_without_the_parents_lock(self, uni_db):
@@ -225,26 +226,44 @@ class TestSchemaTemplate:
 
         backend = SqliteBackend()
         backend.close(backend.load(uni_db))
-        with sqlite_backend._templates_lock:
+        templates = sqlite_backend._TEMPLATES
+        # Another thread holds the lock: the forking thread could
+        # re-enter the reentrant lock, so holding it here proves nothing.
+        held, release = threading.Event(), threading.Event()
+
+        def hold():
+            with templates.lock:
+                held.set()
+                release.wait()
+
+        holder = threading.Thread(target=hold)
+        holder.start()
+        held.wait()
+        try:
             pid = os.fork()
             if pid == 0:  # the child: exit 0 only if the load worked
                 code = 1
                 try:
-                    backend.close(backend.load(uni_db))
-                    code = 0
+                    if len(templates) == 0:
+                        backend.close(backend.load(uni_db))
+                        code = 0
                 finally:
                     os._exit(code)
-        deadline = time.monotonic() + 20
-        while True:
-            done, status = os.waitpid(pid, os.WNOHANG)
-            if done:
-                break
-            if time.monotonic() > deadline:
-                os.kill(pid, 9)
-                os.waitpid(pid, 0)
-                pytest.fail("the forked child's load hung")
-            time.sleep(0.01)
+            deadline = time.monotonic() + 20
+            while True:
+                done, status = os.waitpid(pid, os.WNOHANG)
+                if done:
+                    break
+                if time.monotonic() > deadline:
+                    os.kill(pid, 9)
+                    os.waitpid(pid, 0)
+                    pytest.fail("the forked child's load hung")
+                time.sleep(0.01)
+        finally:
+            release.set()
+            holder.join()
         assert os.waitstatus_to_exitcode(status) == 0
+        assert len(templates) >= 1  # the parent keeps its templates
 
     def test_loaded_schema_still_pickles(self, uni_schema, uni_db):
         backend = SqliteBackend()
@@ -255,13 +274,15 @@ class TestSchemaTemplate:
 
     def test_template_map_is_bounded(self):
         backend = SqliteBackend()
-        for index in range(sqlite_backend._TEMPLATE_LIMIT + 8):
+        templates = sqlite_backend._TEMPLATES
+        assert templates.limit == 32
+        for index in range(templates.limit + 8):
             schema = Schema([Table(
                 f"bounded_{index}", [Column("a", SqlType.INT)],
                 primary_key=("a",),
             )])
             backend.close(backend.load(Database(schema)))
-        assert len(sqlite_backend._templates) <= sqlite_backend._TEMPLATE_LIMIT
+        assert len(templates) <= templates.limit
 
 
 def test_university_foreign_keys_all_declarable(uni_schema):

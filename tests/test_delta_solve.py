@@ -23,8 +23,9 @@ import random
 
 import pytest
 
-from repro.core.generator import GenConfig, XDataGenerator, clear_process_stores
+from repro.core.generator import GenConfig, XDataGenerator
 from repro.errors import GenerationError, UnsupportedSqlError
+from repro.memo import clear_process_memos
 from repro.mutation import enumerate_mutants
 from repro.solver import builders
 from repro.solver.builders import conjuncts
@@ -68,7 +69,7 @@ class TestConfigPlumbing:
             GenConfig(delta_solve=False)
 
     def test_delta_runs_report_skeleton_traffic(self):
-        clear_process_stores()
+        clear_process_memos()
         schema, sql = uni_query("Q1")
         suite = XDataGenerator(schema, delta_config()).generate(sql)
         stats = suite.health.skeleton_cache
@@ -78,7 +79,7 @@ class TestConfigPlumbing:
         assert full.health.skeleton_cache == {}
 
     def test_skeleton_compile_time_lands_in_preprocess(self):
-        clear_process_stores()
+        clear_process_memos()
         schema, sql = uni_query("Q1")
         suite = XDataGenerator(schema, delta_config()).generate(sql)
         misses = [
@@ -94,14 +95,14 @@ class TestWorkloadParity:
     """Table I/II: every query x FK variant, datasets AND kill matrices."""
 
     def test_full_workload_byte_identical(self, table12_jobs):
-        clear_process_stores()
+        clear_process_memos()
         for schema, sql in table12_jobs:
             delta = XDataGenerator(schema, delta_config()).generate(sql)
             full = XDataGenerator(schema, full_config()).generate(sql)
             assert suite_fingerprint(delta) == suite_fingerprint(full)
 
     def test_full_workload_kill_matrices_identical(self, table12_jobs):
-        clear_process_stores()
+        clear_process_memos()
         for schema, sql in table12_jobs:
             delta = XDataGenerator(schema, delta_config()).generate(sql)
             full = XDataGenerator(schema, full_config()).generate(sql)
@@ -110,7 +111,7 @@ class TestWorkloadParity:
     def test_warm_store_repeat_run_still_identical(self, table12_jobs):
         """Second visit of the same request hits the process stores;
         the output must not depend on which path produced it."""
-        clear_process_stores()
+        clear_process_memos()
         schema, sql = table12_jobs[0]
         cold = XDataGenerator(schema, delta_config()).generate(sql)
         warm = XDataGenerator(schema, delta_config()).generate(sql)
@@ -156,7 +157,7 @@ def _corpus_parity(seeds, uni_schema) -> tuple[int, int]:
 
 class TestConformanceCorpusParity:
     def test_200_seed_corpus(self, uni_schema):
-        clear_process_stores()
+        clear_process_memos()
         checked, _skipped = _corpus_parity(range(200), uni_schema)
         # The corpus must stay overwhelmingly checked to mean anything
         # (same bar as the cross-backend conformance suite).
@@ -164,7 +165,7 @@ class TestConformanceCorpusParity:
 
     @pytest.mark.slow
     def test_2000_seed_sweep(self, uni_schema):
-        clear_process_stores()
+        clear_process_memos()
         checked, _skipped = _corpus_parity(range(2000), uni_schema)
         assert checked >= 1500
 

@@ -188,9 +188,9 @@ class TestMetricsReconciliation:
         assert "xdata_specs_errored_total 1" in render_text(suite.metrics)
 
     def test_skeleton_counters_reconcile_with_health(self):
-        from repro.core.generator import clear_process_stores
+        from repro.memo import clear_process_memos
 
-        clear_process_stores()
+        clear_process_memos()
         suite, _ = _generate(metrics=True)
         counters = self._counters(suite)
         stats = suite.health.skeleton_cache

@@ -16,6 +16,7 @@ import dataclasses
 import pytest
 
 from repro.core.generator import GenConfig, XDataGenerator
+from repro.core import parallel
 from repro.core.parallel import (
     FailedSuite,
     effective_workers,
@@ -25,6 +26,7 @@ from repro.core.parallel import (
 from repro.datasets import UNIVERSITY_QUERIES
 from repro.schema.catalog import Column, Schema, Table
 from repro.schema.types import SqlType
+from repro.service.fingerprint import ExactScope, fingerprint
 from repro.solver.search import SearchConfig
 from tests.workload import schema_teaches_fk, suite_fingerprint, uni_query
 
@@ -189,3 +191,53 @@ class TestDeltaParity:
         for _round in range(2):
             scripts = _dataset_scripts(_pooled_by_schema(table12_jobs, delta))
             assert scripts == reference
+
+
+class TestRequestScope:
+    """The process skeleton and declaration memos are keyed by the
+    request's exact scope (DESIGN.md §5j).  Pool workers build their
+    caches through the same helper as the sequential path, and a
+    canonical fingerprint is refused instead of keying the memos."""
+
+    SQL = (
+        "SELECT I.name FROM instructor I "
+        "WHERE I.id IN (SELECT T.id FROM teaches T WHERE T.course_id = 101)"
+    )
+
+    def _worker_caches(self, schema, config, sql):
+        state = {"derived": {}, "payload": (schema, config, sql)}
+        return parallel._derived_spec_state(state)
+
+    def test_pool_workers_and_sequential_path_share_one_scope(
+        self, monkeypatch
+    ):
+        schema = schema_teaches_fk()
+        config = GenConfig()
+        seen = []
+        solve = XDataGenerator._run_spec
+
+        def spy(generator, aq, spec, caches, **kwargs):
+            seen.append(caches["scope"])
+            return solve(generator, aq, spec, caches, **kwargs)
+
+        monkeypatch.setattr(XDataGenerator, "_run_spec", spy)
+        XDataGenerator(schema, config).generate(self.SQL)
+        _, _, specs, caches = self._worker_caches(schema, config, self.SQL)
+        assert len(seen) == len(specs) > 1
+        assert isinstance(caches["scope"], ExactScope)
+        assert set(seen) == {caches["scope"]}
+
+    def test_canonical_fingerprint_raises_type_error(self):
+        from repro.core import generator as generator_module
+
+        schema = schema_teaches_fk()
+        config = GenConfig()
+        generator, aq, specs, caches = self._worker_caches(
+            schema, config, self.SQL
+        )
+        stored = len(generator_module._DECLARATIONS.items())
+        for scope in (fingerprint(schema, self.SQL, config),
+                      str(caches["scope"])):
+            with pytest.raises(TypeError, match="ExactScope"):
+                generator._run_spec(aq, specs[0], {"scope": scope})
+        assert len(generator_module._DECLARATIONS.items()) == stored

@@ -254,6 +254,39 @@ class TestJobQueueLifecycle:
             counters["xdata_service_cache_misses_total"]
             == queue.cache.stats.misses
         )
+        # The process memos' counters ride along, one set per memo.
+        for memo in ("parse", "schema", "skeleton", "declaration"):
+            for counter in ("hits", "misses", "evictions", "stores"):
+                assert f"xdata_memo_{memo}_{counter}_total" in counters
+        assert list(counters) == sorted(counters)
+        queue.close()
+
+    def test_hit_survives_an_eviction_racing_its_read(self):
+        """Another worker's store may evict the entry a hit is about to
+        read.  The job still finishes with its payload (a miss, solved
+        again), and accounts exactly one hit or miss."""
+
+        class RacingCache(SuiteCache):
+            def _race(self):
+                self.put("racer", b"x" * (self.max_bytes + 1))
+
+            def get(self, key):
+                self._race()
+                return super().get(key)
+
+            def peek(self, key):
+                self._race()
+                return super().peek(key)
+
+        queue = sync_queue(cache=RacingCache(max_bytes=1 << 20))
+        first = queue.submit(JobRequest(DDL, SQL))
+        second = queue.submit(JobRequest(DDL, SQL_RESPELLED))
+        for job in (first, second):
+            assert job.state is JobState.DONE
+            assert job.result is not None and not job.cached
+        assert second.result == first.result
+        stats = queue.cache.stats
+        assert (stats.hits, stats.misses) == (0, 2)
         queue.close()
 
     def test_threaded_workers_drain_a_duplicated_batch(self):
@@ -435,7 +468,7 @@ class TestParseOnce:
     def test_hits_parse_the_ddl_and_canonicalize_the_query_once(
         self, monkeypatch
     ):
-        ddl_module._parse_memoized.cache_clear()
+        ddl_module._SCHEMAS.clear()
         parses = self._count(monkeypatch, ddl_module, "parse_ddl")
         canonicalizations = self._count(
             monkeypatch, fingerprint_module, "canonical_query"
@@ -485,14 +518,15 @@ class TestParseOnce:
         queue.close()
 
     def test_ddl_memo_is_bounded(self):
-        bound = ddl_module._DDL_MEMO_SIZE
+        memo = ddl_module._SCHEMAS
+        bound = memo.limit
+        assert bound == 32
         expected = fingerprint_module.canonical_schema(repro.parse_ddl(DDL))
         for index in range(bound + 5):
             text = f"{DDL}\n-- submission {index}\n"
             assert fingerprint_module.canonical_schema(text) == expected
-            info = ddl_module._parse_memoized.cache_info()
-            assert info.currsize <= bound
-        assert info.currsize == bound
+            assert len(memo) <= bound
+        assert len(memo) == bound
 
     def test_ddl_parse_errors_are_not_memoized(self, monkeypatch):
         parses = self._count(monkeypatch, ddl_module, "parse_ddl")
