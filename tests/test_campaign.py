@@ -10,6 +10,7 @@ and the pinned acceptance property: SIGKILL mid-campaign followed by
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import random
@@ -37,12 +38,14 @@ from repro.campaign import (
     run_case,
     save_checkpoint,
 )
+from repro.campaign import case as campaign_case
 from repro.campaign.case import CaseTask
 from repro.campaign.oracles import duplicate_sensitivity_transforms
 from repro.core.generator import XDataGenerator
 from repro.datasets.university import university_schema
 from repro.engine.plan import JoinNode, ProjectNode
 from repro.engine.relation import Relation
+from repro.memo import clear_process_memos, memo_counters
 from repro.mutation import evolve_query, evolution_operators
 from repro.mutation.space import enumerate_mutants
 from repro.obs.journal import validate_journal
@@ -487,6 +490,22 @@ def _pinned_task(position: int) -> CaseTask:
     )
 
 
+def _plant_slot_fault(monkeypatch) -> None:
+    """Make the engine's projection slot runner drop the last row of
+    every multi-row result."""
+    from repro.engine import executor
+
+    project = executor._SLOT_RUNNERS[ProjectNode]
+
+    def drop_last_row(*args):
+        out = project(*args)
+        if len(out.rows) > 1:
+            return Relation(list(out.columns), list(out.rows[:-1]))
+        return out
+
+    monkeypatch.setitem(executor._SLOT_RUNNERS, ProjectNode, drop_last_row)
+
+
 class TestCachedPathFuzzing:
     """The cross-check oracle runs the engine on the slot table, the path
     grading uses, so a fault planted there is a campaign finding."""
@@ -504,17 +523,7 @@ class TestCachedPathFuzzing:
             ) == expected, sql
 
     def test_fault_in_the_slot_table_is_reported(self, monkeypatch):
-        from repro.engine import executor
-
-        project = executor._SLOT_RUNNERS[ProjectNode]
-
-        def drop_last_row(*args):
-            out = project(*args)
-            if len(out.rows) > 1:
-                return Relation(list(out.columns), list(out.rows[:-1]))
-            return out
-
-        monkeypatch.setitem(executor._SLOT_RUNNERS, ProjectNode, drop_last_row)
+        _plant_slot_fault(monkeypatch)
         bugs = [run_case(_pinned_task(position)).bug for position in (2, 4, 5)]
         assert all(bug is not None for bug in bugs)
         assert {bug.oracle for bug in bugs} == {"cross-check"}
@@ -524,6 +533,95 @@ class TestCachedPathFuzzing:
             sum(map(len, bug.minimized_dataset.values())) <= 12
             for bug in bugs
         )
+
+
+def _repeating_tasks() -> list[CaseTask]:
+    """Pinned cases with repeated SQL texts (one repeat with other
+    row-drop settings) and a repeated generation skip."""
+    tasks = [
+        dataclasses.replace(_pinned_task(position), index=index)
+        for index, position in enumerate((0, 3, 0, 5, 3, 0))
+    ]
+    tasks[2] = dataclasses.replace(tasks[2], dataset_drop=0.0)
+    tasks[5] = dataclasses.replace(tasks[5], drop_seed=99)
+    for index in (6, 7):
+        tasks.append(CaseTask(index, "SELECT * FROM nosuch n", _ALL_ORACLES))
+    return tasks
+
+
+def _without_elapsed(result):
+    result.elapsed = 0.0
+    return result
+
+
+def _memoized_datasets(sql: str) -> list[dict]:
+    datasets, _ = campaign_case._PREPARED.peek(sql)
+    return [campaign_case.serialize_database(db) for db in datasets]
+
+
+class TestPreparedCases:
+    """A worker generates each distinct SQL text once; the row-drop
+    variants and every oracle still run for every case."""
+
+    def test_memoized_results_equal_cold_results(self):
+        tasks = _repeating_tasks()
+        clear_process_memos()
+        warm = [_without_elapsed(run_case(task)) for task in tasks]
+        cold = []
+        for task in tasks:
+            clear_process_memos()
+            cold.append(_without_elapsed(run_case(task)))
+        assert warm == cold
+        assert warm[0].executions > 0 and warm[6].skipped is not None
+
+    def test_one_miss_per_distinct_sql_text(self):
+        tasks = _repeating_tasks()
+        clear_process_memos()
+        before = memo_counters()
+        for task in tasks:
+            run_case(task)
+        after = memo_counters()
+        delta = {
+            counter: after[f"xdata_memo_campaign_case_{counter}_total"]
+            - before[f"xdata_memo_campaign_case_{counter}_total"]
+            for counter in ("hits", "misses", "stores")
+        }
+        distinct = len({task.sql for task in tasks})
+        assert delta == {
+            "hits": len(tasks) - distinct,
+            "misses": distinct,
+            "stores": distinct,
+        }
+
+    def test_row_drops_and_minimization_leave_the_memo_intact(
+        self, monkeypatch
+    ):
+        task = _pinned_task(4)
+        assert task.dataset_drop > 0
+        clear_process_memos()
+        run_case(task)
+        before = _memoized_datasets(task.sql)
+        run_case(task)
+        assert _memoized_datasets(task.sql) == before
+        _plant_slot_fault(monkeypatch)
+        assert run_case(task).bug is not None
+        assert _memoized_datasets(task.sql) == before
+
+    def test_each_dataset_is_validated_once_per_case(self, monkeypatch):
+        from repro.engine import integrity
+
+        task = CaseTask(0, _JOIN_SQL, _ALL_ORACLES)
+        run_case(task)
+        validated = []
+        real = integrity.find_violations
+        monkeypatch.setattr(
+            integrity, "find_violations",
+            lambda db: validated.append(id(db)) or real(db),
+        )
+        result = run_case(task)
+        datasets, _ = campaign_case._PREPARED.peek(task.sql)
+        assert result.bug is None and len(result.oracle_runs) == 3
+        assert sorted(validated) == sorted(id(db) for db in datasets)
 
 
 # ---------------------------------------------------------------------------
