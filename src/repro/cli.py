@@ -31,7 +31,6 @@ from repro.datasets.university import (
 from repro.errors import XDataError
 from repro.mutation import enumerate_mutants
 from repro.schema.ddl import parse_ddl
-from repro.solver.search import SearchConfig
 from repro.testing import classify_survivors, evaluate_suite
 from repro.testing.report import format_kill_report, format_suite, format_trace
 
@@ -94,13 +93,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "--no-unfold",
             action="store_true",
             help="disable quantifier unfolding (the paper's slow mode)",
-        )
-        cmd.add_argument(
-            "--no-delta-solve",
-            action="store_true",
-            help="ablation: compile every kill group's constraint system "
-            "from scratch instead of delta-solving against the compiled "
-            "query skeleton (the datasets are byte-identical)",
         )
         cmd.add_argument(
             "--workers",
@@ -339,7 +331,6 @@ def main(argv: list[str] | None = None) -> int:
         sql = _read_query(args)
         config = GenConfig(
             unfold=not args.no_unfold,
-            solver=SearchConfig(delta_solve=not args.no_delta_solve),
             input_db=input_db,
             trace_constraints=getattr(args, "show_constraints", False),
             workers=max(1, args.workers),

@@ -919,8 +919,8 @@ class XDataGenerator:
         order* (which drives the member scans and thus domain
         ordering), and the forced-null triples select which FK
         constraints exist.  ``shared_formulas`` is a zero-argument
-        callable producing the exact formula list a full compile would
-        assert after the delta — called only on a miss, so cache hits
+        callable producing the exact formula list a whole-system solve
+        would assert after the delta — called only on a miss, so cache hits
         never build the shared system at all.  Returns
         ``(skeleton, "hit" | "miss")``.
         """
@@ -1123,16 +1123,14 @@ class XDataGenerator:
                             counts=counts,
                         )
                         solver = space.solver
-                        # Delta solving (§5j) needs the shared system
-                        # asserted strictly after the delta (prefix
-                        # property) and owned by the skeleton; input
-                        # constraints break that layout, so such
-                        # attempts take the full-compile path.
-                        use_delta = (
-                            solver.config.delta_solve
-                            and config.unfold
-                            and not use_input
-                        )
+                        # A compiled skeleton (§5j) needs the shared
+                        # system asserted strictly after the delta
+                        # (prefix property) and owned by the skeleton;
+                        # input constraints break that layout, and the
+                        # lazy mode re-solves subsets, so such attempts
+                        # assert the whole system and solve it over the
+                        # trivial skeleton.
+                        use_delta = config.unfold and not use_input
                         solver.add_all(build(space))
                         self._apply_null_tests(aq, space, rung_spec)
 
@@ -1242,7 +1240,8 @@ class XDataGenerator:
 
                         # Under delta solving the shared system lives in
                         # the skeleton, not the solver; render the same
-                        # delta-then-shared list a full compile asserts.
+                        # delta-then-shared list a whole-system solve
+                        # asserts.
                         formulas = solver.formulas
                         if skeleton is not None:
                             formulas += list(shared_formulas())

@@ -73,8 +73,9 @@ __all__ = [
 
 #: Version tag mixed into every digest; bump on any canonicalization
 #: change so stale persisted cache entries can never be confused with
-#: fresh ones.
-_VERSION = "xdata-fp-v2"
+#: fresh ones.  v3: ``SearchConfig`` lost its delta-solve switch, so
+#: every rendered config (and with it every digest) changed.
+_VERSION = "xdata-fp-v3"
 
 #: GenConfig fields excluded from the fingerprint: each is documented to
 #: leave generated suites byte-identical (observability attaches

@@ -53,14 +53,6 @@ class SearchConfig:
     #: mode's analogue of seeing through quantifiers; the lazy quantifier
     #: mode runs with this off (with a fallback on node-limit overrun).
     enable_suggestions: bool = True
-    #: Delta-solve switch (DESIGN.md §5j): solve each kill
-    #: group's constraints as an incremental delta over the compiled
-    #: query skeleton (shared PK/FK/domain system preprocessed once per
-    #: query shape) instead of compiling the full system from scratch.
-    #: Results are byte-identical either way; off forces the
-    #: full-compile path (``--no-delta-solve`` on the CLI) and serves
-    #: as the differential reference for delta solving.
-    delta_solve: bool = True
 
 
 #: How often (in explored nodes) the search consults the wall clock when
@@ -166,14 +158,16 @@ class GroundSearch:
         formulas: list[Formula],
         infos: dict[str, VarInfo],
         symbols: SymbolTable,
-        config: SearchConfig | None = None,
-        base=None,
+        config: SearchConfig | None,
+        base,
     ):
-        """``base`` (a :class:`~repro.solver.skeleton.CompiledSkeleton`)
-        switches on delta solving: ``formulas`` is then only the solve's
-        *delta* — the skeleton's preprocessed shared system is seeded
-        underneath it instead of being re-flattened, re-propagated and
-        re-rewritten from scratch (DESIGN.md §5j)."""
+        """``formulas`` is a *delta* over ``base`` (a
+        :class:`~repro.solver.skeleton.CompiledSkeleton`): the
+        skeleton's preprocessed shared system is seeded underneath it
+        instead of being re-flattened, re-propagated and re-rewritten
+        (DESIGN.md §5j).  A whole system is solved as a delta over the
+        trivial skeleton of its declared variables
+        (:func:`~repro.solver.skeleton.trivial_skeleton`)."""
         self._input = formulas
         self._infos = infos
         self._symbols = symbols
@@ -181,18 +175,26 @@ class GroundSearch:
         self._base = base
         self._uf = _UnionFind()
         self._fixed: dict[str, int] = {}
-        self._constraints: list[Formula] = []
         self._unsat = False
-        self._members: dict[str, list[VarInfo]] | None = None
+        #: Class representative -> declared members, copy-on-write over
+        #: the skeleton's index (re-merged for this delta's unions).
+        self._members: dict = base.members
         #: Variables whose atoms change under rewriting; set once unit
         #: propagation has finished, before the first rewrite.
-        self._touched: set[str] | None = None
+        self._touched: set[str] = set()
+        #: Admitted constraints after preprocessing: the skeleton's
+        #: shared formulas (re-rewritten where this delta reaches them)
+        #: followed by the delta's own non-unit formulas.
+        self._constraints: list[Formula] = []
+        #: True when no shared formula needed a re-rewrite: the first
+        #: ``len(base.rest)`` constraints are ``base.rest`` verbatim, so
+        #: the skeleton's precompiled indexes apply as-is.
+        self._fast = False
         self._deadline: float | None = None
         #: Roots that took part in a union during *this* solve's unit
-        #: propagation (tracked only under a base skeleton) — exactly
-        #: the equivalence-class partitions whose precompiled state must
-        #: be re-derived copy-on-write.
-        self._dirty: set[str] | None = set() if base is not None else None
+        #: propagation — exactly the equivalence-class partitions whose
+        #: precompiled state must be re-derived copy-on-write.
+        self._dirty: set[str] = set()
         # Domain-aggregate memo traffic (reported via SearchOutcome).
         self._cache_hits = 0
         self._cache_misses = 0
@@ -260,11 +262,10 @@ class GroundSearch:
                         )
                     ra, rb = self._uf.find(a), self._uf.find(b)
                     if ra != rb:
-                        if self._dirty is not None:
-                            # Delta solve: both roots' precompiled
-                            # partitions are now stale (COW re-merge).
-                            self._dirty.add(ra)
-                            self._dirty.add(rb)
+                        # Both roots' precompiled partitions are now
+                        # stale (copy-on-write re-merge).
+                        self._dirty.add(ra)
+                        self._dirty.add(rb)
                         fixed_a = self._fixed.pop(ra, None)
                         fixed_b = self._fixed.pop(rb, None)
                         rep = self._uf.union(a, b)
@@ -310,22 +311,6 @@ class GroundSearch:
             else:
                 coeffs[rep] = coeffs.get(rep, 0) + coef
         return Linear.build(coeffs, constant)
-
-    def _touched_vars(self) -> set[str]:
-        """Variables whose atoms change under ``_rewrite_formula``.
-
-        A variable is touched when union-find maps it to a different
-        representative or its representative has a fixed value; formulas
-        mentioning no touched variable rewrite to themselves and are
-        returned as-is, which also preserves their per-node
-        memos across solves that share formula objects.
-        """
-        touched = set(self._fixed)
-        for name in list(self._uf._parent):
-            rep = self._uf.find(name)
-            if rep != name or rep in self._fixed:
-                touched.add(name)
-        return touched
 
     def _rewrite_formula(self, formula: Formula) -> Formula:
         if not (formula_variables(formula) & self._touched):
@@ -398,99 +383,46 @@ class GroundSearch:
                 if below < value:
                     self._symbols.intern(pool, below)
 
-    def _domain_hint(self, atom: Atom) -> tuple[str, object]:
-        """Classify an atom's contribution to domain construction.
-
-        Returns ``('str', (pool, code))`` for order atoms against a string
-        constant (boundary witnesses needed), ``('int', (v-1, v, v+1))``
-        for single-variable integer atoms (break-point witnesses),
-        ``('off', k)`` for multi-variable atoms with constant offset k,
-        and ``('none', None)`` otherwise.
-        """
-        variables = atom.lin.variables
-        n_vars = len(variables)
-        kinds = {self._kind(v) for v in variables}
-        if kinds == {"str"}:
-            if atom.op in ("<", "<=") and n_vars == 1:
-                (name, coef), = atom.lin.coeffs
-                code = -atom.lin.const // coef if coef else None
-                pool = self._pool(name)
-                if code is not None and pool is not None:
-                    return ("str", (pool, code))
-            return ("none", None)
-        if n_vars == 1:
-            (name, coef), = atom.lin.coeffs
-            # Witnesses around the break-point of the atom.
-            value = -atom.lin.const // coef
-            return ("int", (value - 1, value, value + 1))
-        if n_vars >= 2 and atom.lin.const != 0:
-            return ("off", abs(atom.lin.const))
-        return ("none", None)
-
     def _domagg_of(self, formula: Formula):
-        """Domain-aggregate of one formula: ``(ints, offsets, strs)``.
-
-        A formula's domain contribution is a pure function of its
-        atoms' structure and their variables' kinds, both stable
-        across the sibling solves that share the formula object —
-        aggregated once per node and memoized like _fv/_atoms.
-        """
+        """:func:`domain_aggregate`, counting its memo traffic."""
         agg = formula.__dict__.get("_domagg")
         if agg is not None:
             self._cache_hits += 1
             return agg
         self._cache_misses += 1
-        ints: set[int] = set()
-        offs: set[int] = set()
-        strs: list[tuple[str, int]] = []
-        for atom in _formula_atoms(formula):
-            hint = atom.__dict__.get("_domhint")
-            if hint is None:
-                hint = self._domain_hint(atom)
-                object.__setattr__(atom, "_domhint", hint)
-            tag, data = hint
-            if tag == "str":
-                strs.append(data)
-            elif tag == "int":
-                ints.update(data)
-            elif tag == "off":
-                offs.add(data)
-        agg = (ints, offs, strs)
-        object.__setattr__(formula, "_domagg", agg)
-        return agg
+        return domain_aggregate(formula, self._infos)
 
     def _build_domains(
         self,
         reps: list[str],
         constraints: list[Formula],
         free_reps: set[str],
-        base_agg=None,
-        skip: int = 0,
-        pref=None,
-        pref_skip=None,
-        dom_cache=None,
+        skip: int,
+        pref_skip: set[str],
     ) -> dict[str, list[int]]:
         """Ordered candidate values per representative.
 
-        ``base_agg``/``skip`` (delta solving, §5j) seed the candidate
-        collection from the skeleton's precompiled aggregate over its
-        first ``skip`` constraints — exact, because on that path the
-        ``constraints`` prefix *is* ``base.rest`` verbatim.  ``pref`` is
-        the skeleton's per-class preferred-value union, valid for every
-        class the delta left unmerged (``pref_skip`` holds the merged
-        ones, which fall back to a member scan).
+        The first ``skip`` constraints are ``base.rest`` verbatim, so
+        the candidate collection is seeded from the skeleton's
+        precompiled aggregate over them instead of a per-formula scan.
+        The skeleton's per-class preferred-value union ``base.pref`` is
+        valid for every class the delta left unmerged (``pref_skip``
+        holds the merged ones, which fall back to a member scan).
         """
         config = self._config
+        base = self._base
+        pref = base.pref
+        dom_cache = base.domain_cache
         # Collect integer constants relevant to each universe.
         int_candidates: set[int] = {0, 1, 2}
         offsets: set[int] = set()
-        if base_agg is not None:
-            int_candidates.update(base_agg[0])
-            offsets.update(base_agg[1])
+        if skip:
+            int_candidates.update(base.agg[0])
+            offsets.update(base.agg[1])
             # String pools: order atoms against interned constants need
             # lexicographic boundary witnesses, re-interned per solve in
             # the same formula order as a full scan.
-            for pool, code in base_agg[2]:
+            for pool, code in base.agg[2]:
                 self._add_string_witnesses(pool, code)
         for formula in constraints[skip:] + list(self._residual_units):
             agg = self._domagg_of(formula)
@@ -499,7 +431,7 @@ class GroundSearch:
             for pool, code in agg[2]:
                 self._add_string_witnesses(pool, code)
         for rep in reps:
-            if pref is not None and rep not in pref_skip:
+            if rep not in pref_skip:
                 values = pref.get(rep)
                 if values is not None:
                     int_candidates.update(values)
@@ -551,7 +483,7 @@ class GroundSearch:
                 universe_cache[key] = cached
             candidates, candidate_set = cached
             dkey = None
-            if dom_cache is not None and rep not in pref_skip:
+            if rep not in pref_skip:
                 # Unmerged base class: its domain is a pure function of
                 # the rep (kind, pool, member order) and the candidate
                 # content; candidate order is deterministic from the
@@ -607,15 +539,123 @@ class GroundSearch:
         return domains
 
     def _member_infos(self, rep: str):
-        # Precomputed rep -> members index (the union-find is stable once
-        # unit propagation finishes, which is before any caller runs),
-        # in declaration order.
-        if self._members is None:
-            members: dict[str, list[VarInfo]] = {}
-            for name, info in self._infos.items():
-                members.setdefault(self._uf.find(name), []).append(info)
-            self._members = members
         return self._members.get(rep, ())
+
+    def _admit(self, rewritten: Formula) -> bool:
+        """Keep a rewritten constraint; decide it if variable-free.
+
+        Variable-free formulas would never be re-evaluated by the
+        search's watch scheme, so they are decided now; ``False`` means
+        the problem is UNSAT.
+        """
+        if not formula_variables(rewritten):
+            return eval_formula(rewritten, {}) is True
+        self._constraints.append(rewritten)
+        return True
+
+    def preprocess(self) -> bool:
+        """Seed the skeleton's state, then flatten, propagate and rewrite.
+
+        The one preprocessing path, shared by :meth:`run` and by
+        :func:`~repro.solver.skeleton.compile_skeleton` (a delta over
+        the trivial skeleton).  Leaves behind the union-find, the fixed
+        values, the residual units, the copy-on-write members index and
+        the admitted non-unit constraints (``_constraints``).  Returns
+        False when the system is already UNSAT.
+        """
+        base = self._base
+        if base.unsat:
+            # The shared system alone is UNSAT; no delta can rescue it.
+            self._unsat = True
+            return False
+        rest = self._flatten()
+        # The shared system is a flatten-order prefix of the full
+        # problem (it is asserted last, and _flatten pops from the end),
+        # so prepending its residual units here and its rest constraints
+        # below reproduces a whole-system compile's ordering exactly;
+        # union-find confluence makes the merge outcome order-independent.
+        self._uf._parent = dict(base.parent)
+        self._fixed = dict(base.fixed)
+        self._units = list(base.residual) + self._units
+        self._propagate_units()
+        if self._unsat:
+            return False
+        find = self._uf.find
+        # A variable's atoms change under rewriting when its class was
+        # merged away or fixed.  The base's set is precompiled; this
+        # delta adds its fixes and the dirty roots that lost their
+        # representative role (a root that kept it rewrites to itself).
+        touched = set(base.touched)
+        touched.update(self._fixed)
+        touched.update(root for root in self._dirty if find(root) != root)
+        self._touched = touched
+        if self._dirty:
+            # Copy-on-write members index: only the partitions touched
+            # by this delta's unions are re-merged (in declaration
+            # order, matching a whole-system scan); every other class
+            # reuses the skeleton's precompiled tuple.
+            groups: dict[str, list[str]] = {}
+            for root in self._dirty:
+                groups.setdefault(find(root), []).append(root)
+            members = dict(base.members)
+            decl = base.decl_index
+            for rep, roots in groups.items():
+                merged: list[VarInfo] = []
+                for root in roots:
+                    merged.extend(members.pop(root, ()))
+                if merged:
+                    merged.sort(key=lambda info: decl[info.name])
+                    members[rep] = merged
+            self._members = members
+
+        # The variables of a base-rewritten shared formula are base
+        # representatives; a delta changes the rewrite of such a formula
+        # only by merging or fixing one of those classes, and every such
+        # class root lands in _dirty or in the newly fixed keys.  The
+        # skeleton's inverted index turns that observation into an exact
+        # list of the shared formulas needing a re-rewrite.
+        changed = set(self._dirty)
+        base_fixed = base.fixed
+        for name in self._fixed:
+            if name not in base_fixed:
+                changed.add(name)
+        affected: set[int] = set()
+        var_index = base.var_index
+        for name in changed:
+            hits = var_index.get(name)
+            if hits:
+                affected.update(hits)
+        rest_t = base.rest
+        constraints = self._constraints
+        if affected:
+            rewrite_cache = base.rewrite_cache
+            previous = 0
+            for index in sorted(affected):
+                constraints.extend(rest_t[previous:index])
+                formula = rest_t[index]
+                key = (index, self._delta_state_key(formula))
+                rewritten = rewrite_cache.get(key)
+                if rewritten is None:
+                    rewritten = self._rewrite_formula(formula)
+                    rewrite_cache[key] = rewritten
+                    base.rewrite_misses += 1
+                else:
+                    base.rewrite_hits += 1
+                if not self._admit(rewritten):
+                    return False
+                previous = index + 1
+            constraints.extend(rest_t[previous:])
+        else:
+            # No shared formula mentions a changed class: the base
+            # prefix is admitted verbatim, so the skeleton's
+            # precompiled indexes (watch lists, variable sets, domain
+            # aggregate) apply as-is.
+            constraints.extend(rest_t)
+            self._fast = True
+        for formula in rest:
+            if not self._admit(self._rewrite_formula(formula)):
+                return False
+        return True
 
     # -- search -------------------------------------------------------------------
 
@@ -636,180 +676,53 @@ class GroundSearch:
             )
 
         base = self._base
-
-        if base is not None and base.unsat:
-            # The shared system alone is UNSAT; no delta can rescue it.
+        if not self.preprocess():
             return preprocess_only()
-        rest = self._flatten()
-        if base is not None:
-            # Delta solve (§5j): seed the compiled shared state.  The
-            # shared system is a flatten-order prefix of the full
-            # problem (it is asserted last, and _flatten pops from the
-            # end), so prepending its residual units here and its rest
-            # constraints below reproduces a from-scratch compile's
-            # ordering exactly; union-find confluence makes the merge
-            # outcome order-independent.
-            self._uf._parent = dict(base.parent)
-            self._fixed = dict(base.fixed)
-            self._units = list(base.residual) + self._units
-        self._propagate_units()
-        if self._unsat:
-            return preprocess_only()
-        if base is None:
-            self._touched = self._touched_vars()
-        else:
-            # The base scan is precompiled; extend it with this delta's
-            # merges and fixes instead of re-deriving.
-            touched = set(base.touched)
-            touched.update(self._fixed)
-            touched.update(self._dirty)
-            self._touched = touched
-            # Copy-on-write members index: only the partitions touched
-            # by this delta's unions are re-merged (in declaration
-            # order, matching a from-scratch scan); every other class
-            # reuses the skeleton's precompiled tuple.
-            members = base.members
-            if self._dirty:
-                find = self._uf.find
-                groups: dict[str, list[str]] = {}
-                for root in self._dirty:
-                    groups.setdefault(find(root), []).append(root)
-                members = dict(members)
-                decl = base.decl_index
-                for rep, roots in groups.items():
-                    merged: list[VarInfo] = []
-                    for root in roots:
-                        merged.extend(base.members.get(root, ()))
-                    merged.sort(key=lambda info: decl[info.name])
-                    members[rep] = merged
-            self._members = members
-
-        constraints: list[Formula] = []
-
-        def admit(rewritten: Formula) -> bool:
-            """Keep a rewritten constraint; decide it if variable-free.
-
-            Variable-free formulas would never be re-evaluated by the
-            watch scheme below, so they are decided now; ``False``
-            means the problem is UNSAT.
-            """
-            if not formula_variables(rewritten):
-                return eval_formula(rewritten, {}) is True
-            constraints.append(rewritten)
-            return True
-
-        # ``fast`` marks a delta solve none of whose changed classes
-        # appear in any shared formula: the entire base prefix is
-        # admitted verbatim, so the skeleton's precompiled indexes
-        # (watch lists, variable sets, domain aggregate) apply as-is.
-        fast = False
-        if base is not None:
-            # The variables of a base-rewritten shared formula are base
-            # representatives; a delta changes the rewrite of such a
-            # formula only by merging or fixing one of those classes,
-            # and every such class root lands in _dirty or in the newly
-            # fixed keys.  The skeleton's inverted index turns that
-            # observation into an exact list of the shared formulas
-            # needing a re-rewrite.
-            changed = set(self._dirty)
-            base_fixed = base.fixed
-            for name in self._fixed:
-                if name not in base_fixed:
-                    changed.add(name)
-            affected: set[int] = set()
-            var_index = base.var_index
-            for name in changed:
-                hits = var_index.get(name)
-                if hits:
-                    affected.update(hits)
-            rest_t = base.rest
-            if affected:
-                rewrite_cache = base.rewrite_cache
-                previous = 0
-                for index in sorted(affected):
-                    constraints.extend(rest_t[previous:index])
-                    formula = rest_t[index]
-                    key = (index, self._delta_state_key(formula))
-                    rewritten = rewrite_cache.get(key)
-                    if rewritten is None:
-                        rewritten = self._rewrite_formula(formula)
-                        rewrite_cache[key] = rewritten
-                        base.rewrite_misses += 1
-                    else:
-                        base.rewrite_hits += 1
-                    if not admit(rewritten):
-                        return preprocess_only()
-                    previous = index + 1
-                constraints.extend(rest_t[previous:])
-            else:
-                constraints.extend(rest_t)
-                fast = True
-        n_base = len(constraints)
-        for formula in rest + list(self._residual_units):
-            if not admit(self._rewrite_formula(formula)):
+        for unit in self._residual_units:
+            if not self._admit(self._rewrite_formula(unit)):
                 return preprocess_only()
+        constraints = self._constraints
+        fast = self._fast
+        n_base = len(base.rest) if fast else 0
 
-        # Representatives that still need values.
-        reps: set[str] = set()
-        if base is not None:
-            # Start from the skeleton's live base classes and adjust
-            # only the partitions this delta merged or fixed.
-            find = self._uf.find
-            fixed = self._fixed
-            reps = set(base.reps)
-            for root in self._dirty:
-                reps.discard(root)
-                winner = find(root)
-                if winner not in fixed:
-                    reps.add(winner)
-            for rep in fixed:
-                reps.discard(rep)
-        else:
-            # Names the union-find has never seen are their own
-            # representative; skipping find() keeps its parent map to the
-            # merged variables only (which _touched_vars also iterates).
-            parent = self._uf._parent
-            find = self._uf.find
-            fixed = self._fixed
-            for name in self._infos:
-                rep = find(name) if name in parent else name
-                if rep not in fixed:
-                    reps.add(rep)
+        # Representatives that still need values: the skeleton's live
+        # base classes, adjusted only for the partitions this delta
+        # merged or fixed.
+        find = self._uf.find
+        fixed = self._fixed
+        reps = set(base.reps)
+        for root in self._dirty:
+            reps.discard(root)
+            winner = find(root)
+            if winner not in fixed:
+                reps.add(winner)
+        for rep in fixed:
+            reps.discard(rep)
         if fast:
             # The admitted base prefix is base.rest verbatim, so the
             # names it would contribute are the precompiled union.
-            reps |= base.var_names.difference(self._fixed)
-            tail = constraints[n_base:]
-        else:
-            tail = constraints
+            reps |= base.var_names.difference(fixed)
+        tail = constraints[n_base:]
         for formula in tail:
             for name in formula_variables(formula):
-                if name not in self._fixed:
+                if name not in fixed:
                     reps.add(name)
         rep_list = sorted(reps)
 
         # Index constraints first (domain construction can then treat
-        # unconstrained representatives specially on the hot path).
-        if fast:
-            # Precompiled split of base.rest into multi-variable
-            # (active) and single-variable constraints; the watch lists
-            # restrict the per-name index to this solve's live
-            # representatives.  Sound because on the fast path no base
-            # formula mentions a merged or newly fixed class, so every
-            # base formula variable is still its own representative.
-            active = list(base.active)
-            single = list(base.single)
-            name_watch = base.name_watch
-            watch = {}
-            # Copy-on-append: most lists stay the skeleton's tuples;
-            # only reps watched by a delta formula get a private list.
-            for rep in rep_list:
-                watch[rep] = name_watch.get(rep, ())
-        else:
-            watch = {rep: [] for rep in rep_list}
-            active = []
-            single = []
-            tail = constraints
+        # unconstrained representatives specially on the hot path).  On
+        # the fast path, start from the precompiled split of base.rest
+        # into multi-variable (active) and single-variable constraints;
+        # the watch lists restrict the per-name index to this solve's
+        # live representatives.  Sound because on the fast path no base
+        # formula mentions a merged or newly fixed class, so every base
+        # formula variable is still its own representative.
+        active = list(base.active) if fast else []
+        single = list(base.single) if fast else []
+        name_watch = base.name_watch if fast else {}
+        # Copy-on-append: most lists stay the skeleton's tuples; only
+        # reps watched by an indexed formula get a private list.
+        watch = {rep: name_watch.get(rep, ()) for rep in rep_list}
         for formula in tail:
             # Shared formulas (db constraints) index identically in
             # every sibling solve; memoize the sorted variable list.
@@ -839,21 +752,11 @@ class GroundSearch:
         # domain need not be materialised beyond that.
         free_reps = {rep for rep in rep_list if not watch[rep]}
         free_reps.difference_update(rep for rep, _ in single)
-        pref = pref_skip = None
-        if base is not None:
-            pref = base.pref
-            # Classes this delta merged aggregate preferred values from
-            # several base classes; they fall back to the member scan.
-            pref_skip = {self._uf.find(root) for root in self._dirty}
+        # Classes this delta merged aggregate preferred values from
+        # several base classes; they fall back to the member scan.
+        pref_skip = {find(root) for root in self._dirty}
         domains = self._build_domains(
-            rep_list,
-            constraints,
-            free_reps,
-            base_agg=base.agg if fast else None,
-            skip=n_base if fast else 0,
-            pref=pref,
-            pref_skip=pref_skip,
-            dom_cache=base.domain_cache if base is not None else None,
+            rep_list, constraints, free_reps, n_base, pref_skip
         )
 
         for rep, formula in single:
@@ -973,14 +876,11 @@ class GroundSearch:
             tail = [v for v in domain if v in avoided_set]
             return head + middle + tail
 
-        if fast:
-            constraint_vars = list(base.cvars)
-            constraint_vars += [
-                frozenset(formula_variables(f))
-                for f in active[len(base.cvars):]
-            ]
-        else:
-            constraint_vars = [frozenset(formula_variables(f)) for f in active]
+        constraint_vars = list(base.cvars) if fast else []
+        constraint_vars += [
+            frozenset(formula_variables(f))
+            for f in active[len(constraint_vars):]
+        ]
         #: Depth at which each active constraint was proven True under the
         #: partial assignment (-1 = not yet).  Kleene evaluation is
         #: monotone, so a constraint marked at depth d needs no
@@ -1094,6 +994,67 @@ class GroundSearch:
             cache_hits=self._cache_hits,
             cache_misses=self._cache_misses,
         )
+
+
+def _domain_hint(atom: Atom, infos: dict[str, VarInfo]) -> tuple[str, object]:
+    """Classify an atom's contribution to domain construction.
+
+    Returns ``('str', (pool, code))`` for order atoms against a string
+    constant (boundary witnesses needed), ``('int', (v-1, v, v+1))``
+    for single-variable integer atoms (break-point witnesses),
+    ``('off', k)`` for multi-variable atoms with constant offset k,
+    and ``('none', None)`` otherwise.
+    """
+    variables = atom.lin.variables
+    n_vars = len(variables)
+    kinds = {infos[v].kind if v in infos else "int" for v in variables}
+    if kinds == {"str"}:
+        if atom.op in ("<", "<=") and n_vars == 1:
+            (name, coef), = atom.lin.coeffs
+            code = -atom.lin.const // coef if coef else None
+            pool = infos[name].pool
+            if code is not None and pool is not None:
+                return ("str", (pool, code))
+        return ("none", None)
+    if n_vars == 1:
+        (name, coef), = atom.lin.coeffs
+        # Witnesses around the break-point of the atom.
+        value = -atom.lin.const // coef
+        return ("int", (value - 1, value, value + 1))
+    if n_vars >= 2 and atom.lin.const != 0:
+        return ("off", abs(atom.lin.const))
+    return ("none", None)
+
+
+def domain_aggregate(formula: Formula, infos: dict[str, VarInfo]):
+    """Domain-aggregate of one formula: ``(ints, offsets, strs)``.
+
+    A formula's domain contribution is a pure function of its atoms'
+    structure and their variables' kinds, both stable across the
+    sibling solves that share the formula object — aggregated once per
+    node and memoized like _fv/_atoms.
+    """
+    agg = formula.__dict__.get("_domagg")
+    if agg is not None:
+        return agg
+    ints: set[int] = set()
+    offs: set[int] = set()
+    strs: list[tuple[str, int]] = []
+    for atom in _formula_atoms(formula):
+        hint = atom.__dict__.get("_domhint")
+        if hint is None:
+            hint = _domain_hint(atom, infos)
+            object.__setattr__(atom, "_domhint", hint)
+        tag, data = hint
+        if tag == "str":
+            strs.append(data)
+        elif tag == "int":
+            ints.update(data)
+        elif tag == "off":
+            offs.add(data)
+    agg = (ints, offs, strs)
+    object.__setattr__(formula, "_domagg", agg)
+    return agg
 
 
 def _connected_order_of(

@@ -13,18 +13,27 @@ union-find, splitting/merging only the affected equivalence-class
 partitions (copy-on-write), and reusing cached rewrites of the shared
 formulas whenever the delta leaves their variables' classes unchanged.
 
+Every solve is such a delta.  :func:`trivial_skeleton` is the skeleton
+of an empty shared system — no parent links, no fixes, every declared
+variable its own class — and a system with no compiled skeleton is
+solved as a delta over it; :func:`compile_skeleton` is
+``GroundSearch.preprocess`` of the shared formulas over it, plus the
+indexes the delta solves read.
+
 Everything here is an amortization, never an approximation: a delta
-solve is byte-identical to compiling the full constraint system from
-scratch (``tests/test_delta_solve.py`` pins this differentially, and
-Hypothesis property tests pin the underlying confluence argument).
-The correctness argument, in brief:
+solve gives the answer of solving the delta and the shared system
+together over the trivial skeleton.  The tests pin the generated bytes
+against golden digests (``tests/golden.py``), the underlying confluence
+argument with Hypothesis properties, and the solver's answers against
+brute force (``tests/test_solver_search.py``).  The correctness
+argument, in brief:
 
 * **Prefix property.**  The generator asserts the delta formulas first
   and the shared system last; ``GroundSearch._flatten`` pops from the
   end of its input, so the shared system's units and residual
   constraints form a *prefix* of the full flatten order.  Compiling the
   shared prefix alone and concatenating the delta's suffix reproduces
-  the exact unit/constraint ordering of a full compile.
+  the exact unit/constraint ordering of a whole-system solve.
 * **Confluence.**  Union-find merging is order-independent: the final
   partition is the transitive closure of the derivable equalities, the
   representative is always the lexicographically smallest member, and
@@ -33,9 +42,9 @@ The correctness argument, in brief:
   drops zeros, so rewriting under the base state and then under the
   delta state composes to the same structure as one full rewrite.
 
-Skeletons hold plain dicts/tuples over formula nodes and are cached in
-the generator's per-run (per-worker) cache dict; they are never
-pickled across the process pool.
+Skeletons hold plain dicts/tuples over formula nodes and live in the
+generator's process-level ``skeleton`` memo (one per worker); they are
+never pickled across the process pool.
 """
 
 from __future__ import annotations
@@ -43,7 +52,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from repro.solver.solver import unfold_formula
+from repro.solver.search import GroundSearch, domain_aggregate
 from repro.solver.terms import Atom, Formula, VarInfo, formula_variables
 
 
@@ -51,8 +60,8 @@ from repro.solver.terms import Atom, Formula, VarInfo, formula_variables
 class CompiledSkeleton:
     """The preprocessed shared constraint system of one query shape.
 
-    Produced by :func:`compile_skeleton`; consumed by
-    ``GroundSearch(..., base=skeleton)``.  All mapping fields are
+    Produced by :func:`compile_skeleton` or :func:`trivial_skeleton`;
+    consumed by ``GroundSearch(..., base)``.  All mapping fields are
     treated as immutable by consumers (copy-on-write); the rewrite
     cache and its counters are the only mutable state and are shared
     deliberately across the sibling solves of one generator run.
@@ -72,9 +81,9 @@ class CompiledSkeleton:
     #: True when the shared system alone is unsatisfiable (every delta
     #: solve is then UNSAT without searching).
     unsat: bool
-    #: Variables whose atoms changed under the base rewrite (see
-    #: ``GroundSearch._touched_vars``); the delta solve extends this
-    #: with its own merges and fixes instead of rescanning.
+    #: Variables whose atoms changed under the base rewrite: merged
+    #: away or fixed.  The delta solve extends this with its own
+    #: merges and fixes instead of rescanning.
     touched: frozenset[str]
     #: Base representative -> class members in declaration order.  A
     #: delta solve copies this dict and re-merges only the partitions
@@ -109,7 +118,8 @@ class CompiledSkeleton:
     agg: tuple
     #: Base representative -> sorted union of the preferred values of
     #: its int-kind members (str-kind classes map to ()).  Valid for
-    #: every class a delta leaves unmerged.
+    #: every class a delta leaves unmerged; a class missing from it
+    #: falls back to the member scan.
     pref: dict[str, tuple[int, ...]]
     #: Wall-clock seconds spent compiling this skeleton (reported once
     #: per query shape, not once per group member).
@@ -129,6 +139,37 @@ class CompiledSkeleton:
     domain_cache: dict = field(default_factory=dict)
 
 
+def trivial_skeleton(infos: dict[str, VarInfo]) -> CompiledSkeleton:
+    """The skeleton of an empty shared system over ``infos``.
+
+    No parent links, no fixes, no shared formulas: every declared
+    variable is its own class, carrying its own preferred values.  A
+    solve over it is a solve of its whole delta from scratch — how
+    :meth:`repro.solver.solver.Solver.solve` runs without a compiled
+    skeleton, and what :func:`compile_skeleton` compiles over.  ``pref``
+    stays empty: a singleton class's member scan reads the same values.
+    """
+    return CompiledSkeleton(
+        parent={},
+        fixed={},
+        residual=(),
+        rest=(),
+        unsat=False,
+        touched=frozenset(),
+        members={name: (info,) for name, info in infos.items()},
+        decl_index={name: index for index, name in enumerate(infos)},
+        reps=frozenset(infos),
+        var_index={},
+        var_names=frozenset(),
+        active=(),
+        single=(),
+        cvars=(),
+        name_watch={},
+        agg=(frozenset(), frozenset(), ()),
+        pref={},
+    )
+
+
 def compile_skeleton(
     formulas: list[Formula],
     infos: dict[str, VarInfo],
@@ -140,44 +181,26 @@ def compile_skeleton(
     database constraints); ``infos`` the declared variables of the
     tuple-space shape the skeleton is keyed by.  ``config`` is the
     :class:`~repro.solver.search.SearchConfig` of the sibling solves.
+    The compile is :meth:`GroundSearch.preprocess` of ``formulas`` as a
+    delta over the trivial skeleton, plus the indexes delta solves read.
     """
-    from repro.solver.search import GroundSearch, eval_formula
+    from repro.solver.solver import unfold_formula
 
     start = time.perf_counter()
     unfolded = [unfold_formula(f) for f in formulas]
+    trivial = trivial_skeleton(infos)
     # Symbols are never consulted during preprocessing (only domain
     # construction needs them), so the compile search gets none.
-    search = GroundSearch(unfolded, infos, None, config)
-    rest_raw = search._flatten()
-    search._propagate_units()
-    unsat = search._unsat
-    rest: list[Formula] = []
-    if not unsat:
-        search._touched = search._touched_vars()
-        for formula in rest_raw:
-            rewritten = search._rewrite_formula(formula)
-            if not formula_variables(rewritten):
-                if eval_formula(rewritten, {}) is not True:
-                    unsat = True
-                    break
-                continue
-            rest.append(rewritten)
-    if unsat:
-        rest = []
+    search = GroundSearch(unfolded, infos, None, config, trivial)
+    unsat = not search.preprocess()
+    rest = [] if unsat else search._constraints
 
     find = search._uf.find
-    raw_parent = search._uf._parent
     # Full path compression: delta solves seed their union-find from a
     # flat copy, so every subsequent find is one hop.
-    parent = {name: find(name) for name in raw_parent}
+    parent = {name: find(name) for name in search._uf._parent}
     fixed = dict(search._fixed)
-
-    decl_index = {name: index for index, name in enumerate(infos)}
-    grouped: dict[str, list[VarInfo]] = {}
-    for name, info in infos.items():
-        rep = find(name) if name in raw_parent else name
-        grouped.setdefault(rep, []).append(info)
-    members = {rep: tuple(mem) for rep, mem in grouped.items()}
+    members = {rep: tuple(mem) for rep, mem in search._members.items()}
     reps = frozenset(rep for rep in members if rep not in fixed)
 
     # Precompile everything a delta solve would otherwise derive per
@@ -202,7 +225,7 @@ def compile_skeleton(
             object.__setattr__(formula, "_fvsorted", variables)
         for name in variables:
             raw_index.setdefault(name, []).append(index)
-        ints, offs, strs = search._domagg_of(formula)
+        ints, offs, strs = domain_aggregate(formula, infos)
         agg_ints.update(ints)
         agg_offs.update(offs)
         agg_strs.extend(strs)
@@ -230,9 +253,9 @@ def compile_skeleton(
         residual=tuple(search._residual_units) if not unsat else (),
         rest=tuple(rest),
         unsat=unsat,
-        touched=frozenset(search._touched_vars()),
+        touched=frozenset(search._touched),
         members=members,
-        decl_index=decl_index,
+        decl_index=trivial.decl_index,
         reps=reps,
         var_index={name: tuple(idx) for name, idx in raw_index.items()},
         var_names=frozenset(raw_index),

@@ -2,16 +2,19 @@
 
 Owns variable declarations, the string symbol table and the asserted
 formula set; dispatches to :class:`~repro.solver.search.GroundSearch`
-with or without quantifier unfolding (Section VI-B).
+with or without quantifier unfolding (Section VI-B).  Every search is a
+delta over a skeleton: a compiled one when the caller passes it, else
+the trivial skeleton of the declared variables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import UnsatisfiableError
+from repro.errors import SolverError, UnsatisfiableError
 from repro.solver.model import Model, SymbolTable
 from repro.solver.search import GroundSearch, SearchConfig
+from repro.solver.skeleton import trivial_skeleton
 from repro.solver.terms import (
     Conj,
     Disj,
@@ -58,8 +61,8 @@ class SolveStats:
     #: per query shape, on the miss, not per group member).
     build_time: float = 0.0
     #: Delta-solve provenance: ``"hit"``/``"miss"`` when this solve ran
-    #: against a compiled query skeleton (DESIGN.md §5j), ``None`` on
-    #: the full-compile path.
+    #: against a compiled query skeleton from the generator's memo
+    #: (DESIGN.md §5j), ``None`` when it ran over the trivial skeleton.
     skeleton: str | None = None
 
 
@@ -258,10 +261,14 @@ class Solver:
             base: Optional compiled query skeleton
                 (:class:`repro.solver.skeleton.CompiledSkeleton`).  When
                 given, the asserted formulas are treated as a *delta* on
-                top of the skeleton's preprocessed shared system —
-                byte-identical to asserting the shared formulas after
-                the delta and solving from scratch.  Only meaningful
-                with ``unfold=True``.
+                top of the skeleton's preprocessed shared system — the
+                same answer as asserting the shared formulas after the
+                delta.  Without one, the asserted formulas are the whole
+                system, solved as a delta over the trivial skeleton of
+                the declared variables.  The lazy mode re-solves its
+                ground subset on every restart and cannot keep a
+                skeleton's shared constraints, so ``unfold=False`` with
+                a ``base`` raises :class:`SolverError`.
         """
         from repro.errors import SolverLimitError
 
@@ -284,28 +291,34 @@ class Solver:
             raise
 
     def _solve(self, unfold: bool, base=None) -> Model | None:
-        if unfold:
-            formulas = [unfold_formula(f) for f in self._formulas]
-            # GroundSearch never mutates the info dict.
-            outcome = GroundSearch(
-                formulas, self._infos, self.symbols, self.config, base=base
-            ).run()
-            self.last_stats = SolveStats(
-                satisfiable=outcome.model is not None,
-                nodes=outcome.nodes,
-                elapsed=outcome.elapsed,
-                classes=outcome.classes,
-                constraints=outcome.constraints,
-                unfolded=True,
-                preprocess_time=outcome.preprocess_elapsed,
-                search_time=outcome.search_elapsed,
-                node_limit=self.config.node_limit,
-                deadline_s=self.config.solve_deadline_s,
-                cache_hits=outcome.cache_hits,
-                cache_misses=outcome.cache_misses,
-            )
-            return outcome.model
-        return self._solve_lazy()
+        if not unfold:
+            if base:
+                raise SolverError(
+                    "a compiled skeleton needs unfold=True: the lazy mode "
+                    "would drop its shared constraints"
+                )
+            return self._solve_lazy()
+        formulas = [unfold_formula(f) for f in self._formulas]
+        # GroundSearch never mutates the info dict.
+        outcome = GroundSearch(
+            formulas, self._infos, self.symbols, self.config,
+            base or trivial_skeleton(self._infos),
+        ).run()
+        self.last_stats = SolveStats(
+            satisfiable=outcome.model is not None,
+            nodes=outcome.nodes,
+            elapsed=outcome.elapsed,
+            classes=outcome.classes,
+            constraints=outcome.constraints,
+            unfolded=True,
+            preprocess_time=outcome.preprocess_elapsed,
+            search_time=outcome.search_elapsed,
+            node_limit=self.config.node_limit,
+            deadline_s=self.config.solve_deadline_s,
+            cache_hits=outcome.cache_hits,
+            cache_misses=outcome.cache_misses,
+        )
+        return outcome.model
 
     def _solve_lazy(self) -> Model | None:
         """Lazy quantifier instantiation with restarts (slow path).
@@ -334,6 +347,9 @@ class Solver:
         naive_config = dataclasses.replace(
             self.config, enable_suggestions=False
         )
+        # One trivial skeleton serves every restart: the declared
+        # variables do not change between them.
+        base = trivial_skeleton(self._infos)
         learned: list[Formula] = []
         nodes = 0
         elapsed = 0.0
@@ -353,12 +369,12 @@ class Solver:
             try:
                 outcome = GroundSearch(
                     ground + learned, dict(self._infos), self.symbols,
-                    naive_config,
+                    naive_config, base,
                 ).run()
             except SolverLimitError:
                 outcome = GroundSearch(
                     ground + learned, dict(self._infos), self.symbols,
-                    self.config,
+                    self.config, base,
                 ).run()
             nodes += outcome.nodes
             elapsed += outcome.elapsed
@@ -378,7 +394,7 @@ class Solver:
                 # learned below.)
                 confirm = GroundSearch(
                     ground + [unfold_formula(f) for f in quantified],
-                    dict(self._infos), self.symbols, self.config,
+                    dict(self._infos), self.symbols, self.config, base,
                 ).run()
                 nodes += confirm.nodes
                 elapsed += confirm.elapsed

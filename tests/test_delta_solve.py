@@ -1,39 +1,38 @@
-"""Differential parity + property harness for delta solving (DESIGN.md §5j).
+"""Golden-bytes + property harness for delta solving (DESIGN.md §5j).
 
-The compile-once/delta-solve pipeline is an amortization, never an
-approximation: a delta solve against the compiled query skeleton must be
-*byte-identical* to compiling the full constraint system from scratch.
-This file pins that two ways:
+Every solve is a delta over a skeleton — a compiled query skeleton, or
+the trivial skeleton of the declared variables — and the compile-once
+pipeline is an amortization, never an approximation.  This file pins
+that two ways:
 
-* **differentially** — the full Table I/II workload and a seeded
-  conformance-grammar corpus are generated with ``delta_solve`` on and
-  off, and the suites (datasets, skips, relaxations) plus the resulting
-  kill matrices must match byte for byte.  A 2000-seed sweep rides
-  behind ``-m slow``.
+* **against recorded bytes** — the full Table I/II workload under four
+  configuration mixes and a seeded conformance-grammar corpus must
+  reproduce the golden digests of ``tests/solver_golden.json`` (suites,
+  skips, relaxations and kill matrices; see ``tests/golden.py``).  A
+  2000-seed sweep rides behind ``-m slow``.
 * **propositionally** — Hypothesis properties pin the confluence
   arguments the skeleton relies on: unfold-normalization is idempotent,
   the union-find partition is stable under conjunct insertion order,
-  and delta-then-solve equals rebuild-then-solve on random constraint
-  systems.
+  and delta-then-solve over a compiled skeleton equals solving the
+  rebuilt system over the trivial one.
+
+The solver's SAT/UNSAT answers themselves are checked against brute
+force in ``tests/test_solver_search.py::TestBoxCheck``.
 """
 
 from __future__ import annotations
 
-import random
-
 import pytest
 
 from repro.core.generator import GenConfig, XDataGenerator
-from repro.errors import GenerationError, UnsupportedSqlError
+from repro.datasets import university_schema
 from repro.memo import clear_process_memos
-from repro.mutation import enumerate_mutants
 from repro.solver import builders
 from repro.solver.builders import conjuncts
 from repro.solver.search import SearchConfig
 from repro.solver.skeleton import compile_skeleton
 from repro.solver.solver import Solver, unfold_formula
-from repro.testing import sample_conformance_query
-from repro.testing.killcheck import evaluate_suite
+from tests import golden
 from tests.workload import suite_fingerprint, uni_query
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -42,46 +41,24 @@ from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 
-def delta_config(**kw) -> GenConfig:
-    return GenConfig(**kw)
-
-
-def full_config(**kw) -> GenConfig:
-    return GenConfig(solver=SearchConfig(delta_solve=False), **kw)
-
-
-def kill_matrix(suite):
-    """Every (mutant, dataset) verdict of a suite, in order."""
-    space = enumerate_mutants(suite.analyzed)
-    report = evaluate_suite(space, suite.databases)
-    return [(o.mutant.description, o.killed_by) for o in report.outcomes]
+@pytest.fixture(scope="module")
+def recorded():
+    return golden.load_golden()
 
 
 class TestConfigPlumbing:
-    def test_gen_config_overlays_solver_flag(self):
-        # The flag has one spelling: the forwarded solver config's.
-        assert GenConfig().solver.delta_solve is True
-        assert (
-            GenConfig(solver=SearchConfig(delta_solve=False)).solver.delta_solve
-            is False
-        )
-        with pytest.raises(TypeError, match="delta_solve"):
-            GenConfig(delta_solve=False)
-
     def test_delta_runs_report_skeleton_traffic(self):
         clear_process_memos()
         schema, sql = uni_query("Q1")
-        suite = XDataGenerator(schema, delta_config()).generate(sql)
+        suite = XDataGenerator(schema, GenConfig()).generate(sql)
         stats = suite.health.skeleton_cache
         assert stats["hits"] + stats["misses"] > 0
         assert stats["misses"] > 0  # cold store: first shape compiles
-        full = XDataGenerator(schema, full_config()).generate(sql)
-        assert full.health.skeleton_cache == {}
 
     def test_skeleton_compile_time_lands_in_preprocess(self):
         clear_process_memos()
         schema, sql = uni_query("Q1")
-        suite = XDataGenerator(schema, delta_config()).generate(sql)
+        suite = XDataGenerator(schema, GenConfig()).generate(sql)
         misses = [
             d for d in suite.datasets if d.stats and d.stats.skeleton == "miss"
         ]
@@ -91,82 +68,79 @@ class TestConfigPlumbing:
             assert dataset.stats.elapsed >= dataset.stats.preprocess_time
 
 
+def _assert_mix_matches(recorded, mix: str, keys) -> None:
+    """Every Table I/II job under ``mix`` reproduces its recorded
+    digests named by ``keys`` (``"suite"``, ``"kill_matrix"``)."""
+    actual = golden.table12_digests(mix, "kill_matrix" in keys)
+    assert {
+        label: [digests[key] for key in keys]
+        for label, digests in actual.items()
+    } == {
+        label: [digests[key] for key in keys]
+        for label, digests in recorded["table12"][mix].items()
+    }, f"{mix}: digests differ from the golden record"
+
+
 class TestWorkloadParity:
     """Table I/II: every query x FK variant, datasets AND kill matrices."""
 
-    def test_full_workload_byte_identical(self, table12_jobs):
+    def test_full_workload_byte_identical(self, recorded):
         clear_process_memos()
-        for schema, sql in table12_jobs:
-            delta = XDataGenerator(schema, delta_config()).generate(sql)
-            full = XDataGenerator(schema, full_config()).generate(sql)
-            assert suite_fingerprint(delta) == suite_fingerprint(full)
+        _assert_mix_matches(recorded, "default", ("suite",))
 
-    def test_full_workload_kill_matrices_identical(self, table12_jobs):
+    def test_full_workload_kill_matrices_identical(self, recorded):
         clear_process_memos()
-        for schema, sql in table12_jobs:
-            delta = XDataGenerator(schema, delta_config()).generate(sql)
-            full = XDataGenerator(schema, full_config()).generate(sql)
-            assert kill_matrix(delta) == kill_matrix(full)
+        _assert_mix_matches(recorded, "default", ("kill_matrix",))
 
     def test_warm_store_repeat_run_still_identical(self, table12_jobs):
         """Second visit of the same request hits the process stores;
         the output must not depend on which path produced it."""
         clear_process_memos()
         schema, sql = table12_jobs[0]
-        cold = XDataGenerator(schema, delta_config()).generate(sql)
-        warm = XDataGenerator(schema, delta_config()).generate(sql)
+        cold = XDataGenerator(schema, GenConfig()).generate(sql)
+        warm = XDataGenerator(schema, GenConfig()).generate(sql)
         assert suite_fingerprint(cold) == suite_fingerprint(warm)
         assert warm.health.skeleton_cache["misses"] == 0
 
-    def test_ablation_flags_still_identical(self, table12_jobs):
-        """delta_solve composes with the other ablations: whatever the
-        flag mix, outputs equal the same mix with delta off."""
-        schema, sql = table12_jobs[0]
-        for flags in (
-            dict(unfold=False),
-            dict(include_join_condition_datasets=True),
-        ):
-            delta = XDataGenerator(
-                schema, delta_config(**flags)
-            ).generate(sql)
-            full = XDataGenerator(schema, full_config(**flags)).generate(sql)
-            assert suite_fingerprint(delta) == suite_fingerprint(full)
+    def test_ablation_flags_still_identical(self, recorded):
+        """The other configuration mixes — join-condition datasets, the
+        lazy mode and input-database attempts (both solved over the
+        trivial skeleton) — reproduce their recorded suites and kill
+        matrices too."""
+        for mix in ("join_conditions", "no_unfold", "input_db"):
+            _assert_mix_matches(recorded, mix, ("suite", "kill_matrix"))
 
 
-def _corpus_parity(seeds, uni_schema) -> tuple[int, int]:
-    """Generate each sampled query with delta on/off; return
-    (checked, skipped) after asserting byte parity on every case."""
+def _corpus_parity(recorded, seeds) -> tuple[int, int]:
+    """Generate each sampled query; assert it reproduces its recorded
+    digests (or its recorded error type).  Returns (checked, skipped)."""
+    schema = university_schema()
     checked = skipped = 0
     for seed in seeds:
-        sql = sample_conformance_query(random.Random(seed), uni_schema)
-        try:
-            delta = XDataGenerator(uni_schema, delta_config()).generate(sql)
-            full = XDataGenerator(uni_schema, full_config()).generate(sql)
-        except (GenerationError, UnsupportedSqlError):
-            # Documented pipeline restrictions (NULL tests on outer
-            # joins, reused columns); the sampler intentionally
-            # overshoots the supported class a little.
-            skipped += 1
-            continue
-        assert suite_fingerprint(delta) == suite_fingerprint(full), (
-            f"delta/full divergence at seed {seed}: {sql!r}"
+        expected = recorded["corpus"][str(seed)]
+        entry = golden.corpus_entry(
+            seed, schema, "kill_matrix" in expected
         )
-        checked += 1
+        assert entry == expected, f"golden divergence at seed {seed}"
+        if "error" in entry:
+            skipped += 1
+        else:
+            checked += 1
     return checked, skipped
 
 
 class TestConformanceCorpusParity:
-    def test_200_seed_corpus(self, uni_schema):
+    def test_200_seed_corpus(self, recorded):
         clear_process_memos()
-        checked, _skipped = _corpus_parity(range(200), uni_schema)
+        checked, _skipped = _corpus_parity(recorded, range(200))
         # The corpus must stay overwhelmingly checked to mean anything
         # (same bar as the cross-backend conformance suite).
         assert checked >= 150
 
     @pytest.mark.slow
-    def test_2000_seed_sweep(self, uni_schema):
+    def test_2000_seed_sweep(self, recorded):
         clear_process_memos()
-        checked, _skipped = _corpus_parity(range(2000), uni_schema)
+        checked, _skipped = _corpus_parity(recorded, range(2000))
         assert checked >= 1500
 
 

@@ -213,3 +213,34 @@ class TestSchemaAndConfig:
         assert fingerprint(parse_ddl(DDL), parse_query(BASE)) == fingerprint(
             DDL, BASE
         )
+
+
+class TestVersionTag:
+    """``xdata-fp-v3``: ``SearchConfig`` lost ``delta_solve``, so every
+    rendered config — and every digest — changed with it."""
+
+    #: ``fingerprint(DDL, BASE)`` under the ``xdata-fp-v2`` tag, whose
+    #: default config still rendered ``delta_solve=True``.
+    V2_KEY = "58e48c95093806a18735367ba17331caece5b9df607ade541ea4807b5a7881e4"
+
+    def test_default_config_no_longer_names_delta_solve(self):
+        assert "delta_solve" not in canonical_config(GenConfig())
+
+    def test_v2_cache_file_reloads_and_misses(self, tmp_path):
+        import json
+
+        from repro.service import SuiteCache
+        from repro.service.jobs import request_key
+
+        path = tmp_path / "cache.jsonl"
+        path.write_text(
+            json.dumps({"key": request_key(self.V2_KEY, "generate", None),
+                        "payload": '{"datasets":[]}'}) + "\n",
+            encoding="utf-8",
+        )
+        cache = SuiteCache(path=str(path))
+        assert len(cache) == 1
+        key = request_key(fingerprint(DDL, BASE), "generate", None)
+        assert fingerprint(DDL, BASE) != self.V2_KEY
+        assert cache.get(key) is None
+        assert cache.stats.misses == 1

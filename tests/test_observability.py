@@ -28,7 +28,6 @@ from repro.obs import (
 from repro.obs.trace import NULL_TRACER, walk_spans
 from repro.schema.catalog import Column, Schema, Table
 from repro.schema.types import SqlType
-from repro.solver.search import SearchConfig
 from repro.testing import faults
 from repro.testing.report import format_trace
 
@@ -219,13 +218,21 @@ class TestMetricsReconciliation:
         for dataset in suite.datasets:
             assert dataset.stats.build_time >= 0.0
 
-    def test_delta_off_run_reports_no_skeleton_traffic(self):
-        suite, _ = _generate(
-            metrics=True, solver=SearchConfig(delta_solve=False)
-        )
+    def test_input_db_run_reports_no_skeleton_traffic(self):
+        # Input-database attempts assert the whole system and solve it
+        # over the trivial skeleton: no compiled skeleton is looked up.
+        from repro.engine.database import Database
+
+        input_db = Database(_schema())
+        input_db.insert_rows("t", [(1, 3), (2, 5), (3, 7), (4, 9)])
+        suite, _ = _generate(metrics=True, input_db=input_db)
+        assert len(suite.datasets) == SPEC_COUNT
+        assert all(d.used_input_db for d in suite.datasets)
+        assert all(d.stats.skeleton is None for d in suite.datasets)
         assert suite.health.skeleton_cache == {}
         counters = self._counters(suite)
         assert "xdata_skeleton_cache_hits_total" not in counters
+        assert "xdata_skeleton_cache_misses_total" not in counters
 
     def test_registry_and_renderers(self):
         metrics = Metrics()

@@ -11,8 +11,6 @@ even on single-core machines.
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
 from repro.core.generator import GenConfig, XDataGenerator
@@ -27,8 +25,13 @@ from repro.datasets import UNIVERSITY_QUERIES
 from repro.schema.catalog import Column, Schema, Table
 from repro.schema.types import SqlType
 from repro.service.fingerprint import ExactScope, fingerprint
-from repro.solver.search import SearchConfig
-from tests.workload import schema_teaches_fk, suite_fingerprint, uni_query
+from tests import golden
+from tests.workload import (
+    schema_teaches_fk,
+    suite_fingerprint,
+    table12_labelled_jobs,
+    uni_query,
+)
 
 _fingerprint = suite_fingerprint
 
@@ -63,14 +66,6 @@ def _pooled_by_schema(jobs, config):
             suites[index] = pooled[str(index)]
     assert not any(isinstance(suite, FailedSuite) for suite in suites)
     return suites
-
-
-def _dataset_scripts(suites) -> list[str]:
-    return [
-        dataset.db.pretty(only_nonempty=False)
-        for suite in suites
-        for dataset in suite.datasets
-    ]
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -174,23 +169,24 @@ class TestWorkloadEntryPoint:
 
 @pytest.mark.slow
 class TestDeltaParity:
-    """Delta solving is an amortization, never an approximation
-    (DESIGN.md §5j): on the pool, over every Table I/II query at every
-    Table I foreign-key variant with join-condition datasets included,
-    the datasets are byte-identical with delta solving on and off."""
+    """Pooled generation matches the recorded golden digests
+    (tests/golden.py): over every Table I/II query at every Table I
+    foreign-key variant with join-condition datasets included, each
+    pooled suite is byte-identical to the recorded sequential one."""
 
-    def test_pooled_datasets_identical_delta_on_and_off(self, table12_jobs):
-        delta = GenConfig(include_join_condition_datasets=True)
-        full = dataclasses.replace(
-            delta, solver=SearchConfig(delta_solve=False)
-        )
-        reference = _dataset_scripts(_pooled_by_schema(table12_jobs, full))
-        assert reference
+    def test_pooled_suites_match_golden_digests(self, table12_jobs):
+        config = GenConfig(include_join_condition_datasets=True)
+        labels = [label for label, _, _ in table12_labelled_jobs()]
+        recorded = golden.load_golden()["table12"]["join_conditions"]
+        expected = {label: recorded[label]["suite"] for label in labels}
         # Twice: cold worker stores, then the warm skeleton and
         # declaration stores a repeat request meets.
         for _round in range(2):
-            scripts = _dataset_scripts(_pooled_by_schema(table12_jobs, delta))
-            assert scripts == reference
+            suites = _pooled_by_schema(table12_jobs, config)
+            assert {
+                label: golden.digest(suite_fingerprint(suite))
+                for label, suite in zip(labels, suites)
+            } == expected
 
 
 class TestRequestScope:

@@ -171,7 +171,11 @@ class TestDeprecatedAliases:
 
     @pytest.mark.parametrize(
         "factory, keyword",
-        [(SearchConfig, "deadline_s"), (GenConfig, "delta_solve")],
+        [
+            (SearchConfig, "deadline_s"),
+            (GenConfig, "delta_solve"),
+            (SearchConfig, "delta_solve"),
+        ],
     )
     def test_retired_spellings_are_errors(self, factory, keyword):
         with pytest.raises(TypeError, match=keyword):
@@ -185,15 +189,16 @@ class TestDeprecatedAliases:
                 [
                     "node_limit", "solve_deadline_s", "fresh_int_values",
                     "fresh_str_values", "max_domain_size",
-                    "enable_suggestions", "delta_solve",
+                    "enable_suggestions",
                 ],
             ),
             (KillCheckConfig, ["subplan_cache"]),
         ],
     )
     def test_config_fields_are_locked(self, factory, names):
-        # Beyond tuning knobs, the solver and kill-check configs carry
-        # only their reference arms (full compile, uncached executor).
+        # Beyond tuning knobs, the kill-check config carries only its
+        # reference arm (the uncached executor); the solver config
+        # carries tuning knobs only.
         assert [f.name for f in dataclasses.fields(factory)] == names
 
     def test_configs_survive_replace_and_pickle(self):
@@ -288,20 +293,20 @@ class TestFingerprint:
         assert base != repro.fingerprint(DDL, SQL, GenConfig(unfold=False))
 
     def test_one_spelling_per_solver_config(self):
-        # The delta-solve reference arm has a single spelling, so equal
-        # solver configs can never fingerprint apart.
+        # Equal solver configs can never fingerprint apart, however
+        # they were spelled.
         assert repro.fingerprint(DDL, SQL) == repro.fingerprint(
-            DDL, SQL, GenConfig(solver=SearchConfig(delta_solve=True))
+            DDL, SQL, GenConfig(solver=SearchConfig())
         )
-        off = repro.fingerprint(
-            DDL, SQL, GenConfig(solver=SearchConfig(delta_solve=False))
+        tight = repro.fingerprint(
+            DDL, SQL, GenConfig(solver=SearchConfig(node_limit=10))
         )
         replaced = dataclasses.replace(
             GenConfig(),
-            solver=dataclasses.replace(SearchConfig(), delta_solve=False),
+            solver=dataclasses.replace(SearchConfig(), node_limit=10),
         )
-        assert off == repro.fingerprint(DDL, SQL, replaced)
-        assert off != repro.fingerprint(DDL, SQL)
+        assert tight == repro.fingerprint(DDL, SQL, replaced)
+        assert tight != repro.fingerprint(DDL, SQL)
 
 
 class TestBudgets:

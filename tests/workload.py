@@ -79,10 +79,10 @@ def uni_query(name: str):
     return schema_with_fks(info["fk_rows"][-1]), info["sql"]
 
 
-def table12_jobs():
-    """The full workload: one (schema, sql) job per Table II query per
-    Table I foreign-key variant, schemas shared across jobs with the
-    same variant.  Returns (jobs, distinct schema count)."""
+def table12_labelled_jobs():
+    """The full workload as ``(label, schema, sql)``: one job per Table II
+    query per Table I foreign-key variant, labelled ``Q<n>[<fk edges>]``,
+    schemas shared across jobs with the same variant."""
     schema_cache: dict[tuple, object] = {}
     jobs = []
     for name, info in UNIVERSITY_QUERIES.items():
@@ -90,5 +90,14 @@ def table12_jobs():
             key = tuple(fk_rows)
             if key not in schema_cache:
                 schema_cache[key] = schema_with_fks(fk_rows)
-            jobs.append((schema_cache[key], info["sql"]))
-    return jobs, len(schema_cache)
+            label = f"{name}[{','.join(fk_rows)}]"
+            jobs.append((label, schema_cache[key], info["sql"]))
+    return jobs
+
+
+def table12_jobs():
+    """The full workload: one (schema, sql) job per Table II query per
+    Table I foreign-key variant, in :func:`table12_labelled_jobs` order.
+    Returns (jobs, distinct schema count)."""
+    jobs = [(schema, sql) for _, schema, sql in table12_labelled_jobs()]
+    return jobs, len({id(schema) for schema, _ in jobs})
