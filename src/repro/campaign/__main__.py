@@ -25,7 +25,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--dir",
         required=True,
-        help="campaign directory (checkpoint, bugs.jsonl, journal, report)",
+        help="campaign directory (journal.jsonl, bugs.jsonl, report.json)",
     )
     parser.add_argument("--seed", type=int, default=0, help="campaign seed")
     parser.add_argument(
@@ -33,7 +33,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--round-size", type=int, default=8,
-        help="cases per round (checkpoint granularity)",
+        help="cases per round (one fsync'd journal record each)",
     )
     parser.add_argument(
         "--workers", type=int, default=2, help="worker processes"
@@ -50,7 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--resume",
         action="store_true",
-        help="continue from the directory's checkpoint (exact replay)",
+        help="continue by replaying the directory's journal (exact)",
     )
     parser.add_argument(
         "--json", action="store_true", help="print the report as JSON"
@@ -87,8 +87,8 @@ def main(argv: list[str] | None = None) -> int:
             f"corpus {report['corpus_size']}"
             + (f", {rate} cases/s" if rate is not None else "")
         )
-    # An interrupted campaign exits 0: the drain was clean and the
-    # checkpoint is good — that is the success path for SIGTERM.
+    # An interrupted campaign exits 0: the drain was clean and its last
+    # round is committed — that is the success path for SIGTERM.
     return 0
 
 

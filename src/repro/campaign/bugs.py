@@ -1,27 +1,25 @@
-"""Deduplicated, crash-safe bug triage for the campaign.
+"""Deduplicated bug triage for the campaign.
 
 A campaign that runs for hours will rediscover the same logic bug
 thousands of times — every corpus member descended from the triggering
-query trips the same oracle.  The tracker therefore keys bugs by a
+query trips the same oracle.  Bugs are therefore keyed by a
 *structural fingerprint* of the minimized repro: oracle name, plan
 fingerprint, and the canonical row bags of the disagreeing results.
 Two cases whose minimized repros share that triple are one bug.
 
-Persistence is crash-safe by construction: ``bugs.jsonl`` is always
-rewritten in full from the in-memory store into a temp file and
-atomically renamed (never appended), so a replayed round after
-``--resume`` cannot double-write a report, and a SIGKILL mid-flush
-leaves the previous complete file in place.
+The campaign journal is the bugs' durable record
+(:mod:`repro.campaign.checkpoint`); ``bugs.jsonl`` is a view of it,
+written whole by :func:`write_bugs` when a run ends, so a resume
+rewrites it rather than appending to it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
-__all__ = ["BugRecord", "BugTracker", "bug_fingerprint"]
+__all__ = ["BugRecord", "bug_fingerprint", "write_bugs"]
 
 
 def _canonical_rows(rows) -> list:
@@ -70,79 +68,10 @@ class BugRecord:
     #: How many cases rediscovered this bug (first find included).
     hits: int = 1
 
-    def to_state(self) -> dict:
-        return {
-            "fingerprint": self.fingerprint,
-            "oracle": self.oracle,
-            "context": self.context,
-            "sql": self.sql,
-            "seed_case": self.seed_case,
-            "minimized_dataset": self.minimized_dataset,
-            "results": self.results,
-            "hits": self.hits,
-        }
 
-    @classmethod
-    def from_state(cls, state: dict) -> BugRecord:
-        return cls(**state)
-
-
-@dataclass
-class BugTracker:
-    """In-memory deduped store with atomic JSONL persistence."""
-
-    path: str | None = None
-    bugs: dict[str, BugRecord] = field(default_factory=dict)
-
-    def record(self, bug: BugRecord) -> bool:
-        """Add ``bug``; returns True when it is new, False on rediscovery."""
-        existing = self.bugs.get(bug.fingerprint)
-        if existing is not None:
-            existing.hits += 1
-            return False
-        self.bugs[bug.fingerprint] = bug
-        return True
-
-    def __len__(self) -> int:
-        return len(self.bugs)
-
-    @property
-    def fingerprints(self) -> set[str]:
-        return set(self.bugs)
-
-    def flush(self) -> None:
-        """Atomically rewrite the JSONL report file from memory."""
-        if self.path is None:
-            return
-        tmp = f"{self.path}.tmp.{os.getpid()}"
-        try:
-            with open(tmp, "w", encoding="utf-8") as fh:
-                for fingerprint in sorted(self.bugs):
-                    fh.write(
-                        json.dumps(
-                            self.bugs[fingerprint].to_state(), sort_keys=True
-                        )
-                        + "\n"
-                    )
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, self.path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
-
-    @classmethod
-    def load(cls, path: str) -> BugTracker:
-        """Restore the store from a previous flush (missing file = empty)."""
-        tracker = cls(path=path)
-        if not os.path.exists(path):
-            return tracker
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                bug = BugRecord.from_state(json.loads(line))
-                tracker.bugs[bug.fingerprint] = bug
-        return tracker
+def write_bugs(path: str, bugs: dict[str, BugRecord]) -> None:
+    """Write the ``bugs.jsonl`` view: one line per bug, by fingerprint."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for fingerprint in sorted(bugs):
+            record = asdict(bugs[fingerprint])
+            fh.write(json.dumps(record, sort_keys=True, default=str) + "\n")

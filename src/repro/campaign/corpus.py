@@ -8,9 +8,10 @@ coverage signal (join kinds, predicate shapes, table combinations,
 aggregation) that keeps the population diverse instead of drifting into
 thousands of near-identical constant tweaks.
 
-Everything here is plain data: queries are SQL text, features are
-strings, and :meth:`Corpus.state` round-trips through JSON so the
-checkpoint file can restore the exact population after a crash.
+Everything here is plain data: queries are SQL text and features are
+strings.  The corpus is never written out: a resumed campaign rebuilds
+the exact population, and the features of evicted members with it, by
+replaying its journal (:mod:`repro.campaign.checkpoint`).
 """
 
 from __future__ import annotations
@@ -91,24 +92,6 @@ class CorpusItem:
     trials: int = 0
     features: frozenset[str] = frozenset()
 
-    def to_state(self) -> dict:
-        return {
-            "sql": self.sql,
-            "origin": self.origin,
-            "generation": self.generation,
-            "trials": self.trials,
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> CorpusItem:
-        return cls(
-            sql=state["sql"],
-            origin=state["origin"],
-            generation=state["generation"],
-            trials=state["trials"],
-            features=query_features(state["sql"]),
-        )
-
 
 @dataclass
 class Corpus:
@@ -116,8 +99,8 @@ class Corpus:
 
     ``max_size`` is the backpressure bound: once full, admitting a new
     member evicts the most-trialled one (it has had its chances), so
-    corpus memory — and the checkpoint file — stay O(max_size) no
-    matter how long the campaign runs.
+    corpus memory stays O(max_size) no matter how long the campaign
+    runs.
     """
 
     max_size: int = 256
@@ -153,20 +136,3 @@ class Corpus:
             raise ValueError("empty corpus")
         a, b = rng.choice(self.items), rng.choice(self.items)
         return a if a.trials <= b.trials else b
-
-    # -- checkpoint round-trip ------------------------------------------
-
-    def state(self) -> dict:
-        return {
-            "max_size": self.max_size,
-            "items": [item.to_state() for item in self.items],
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> Corpus:
-        corpus = cls(max_size=state["max_size"])
-        for item_state in state["items"]:
-            item = CorpusItem.from_state(item_state)
-            corpus.items.append(item)
-            corpus._seen_features |= item.features
-        return corpus

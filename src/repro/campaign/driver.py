@@ -3,11 +3,12 @@
 The driver turns the one-shot conformance harness into a long-running
 campaign (DESIGN.md §5i).  Work is organised into *rounds*:
 
-1. **Draw** — from the checkpointed RNG, pick parents from the corpus,
-   evolve children (:func:`repro.mutation.evolve.evolve_query`), admit
-   novel children, and materialise one :class:`CaseTask` per case.
-   Every draw is a deterministic function of the checkpoint, so a
-   replayed round re-creates the identical task list.
+1. **Draw** — pick parents from the corpus, evolve children
+   (:func:`repro.mutation.evolve.evolve_query`), admit novel children,
+   and materialise one :class:`CaseTask` per case
+   (:func:`repro.campaign.checkpoint.draw`).  Every draw is a
+   deterministic function of the state, so a replayed round re-creates
+   the identical task list.
 2. **Execute** — fan the tasks over a :class:`SupervisedPool` with
    backpressure (inflight ≤ workers, pending ≤ round size — the queue
    can never outgrow memory).  A hang watchdog kills the pool when the
@@ -16,90 +17,63 @@ campaign (DESIGN.md §5i).  Work is organised into *rounds*:
    and is requeued (crashes cannot be attributed to a single inflight
    case); tasks striking out are recorded as infrastructure skips so
    one poisonous query cannot wedge the campaign.
-3. **Apply** — results are folded into campaign state in case-index
-   order (never completion order), so counters, bug dedup, and corpus
-   accounting are identical no matter how the pool interleaved.
-4. **Checkpoint** — bug reports are flushed and the full state written
-   via atomic rename.  SIGKILL at any instant loses at most the round
-   in flight; ``resume=True`` replays it bit-identically.
+3. **Commit** — the round's results, in case-index order (never
+   completion order), become one ``campaign_checkpoint`` record,
+   appended to the journal and fsync'd.  This is the campaign's one
+   durable write per round.  SIGKILL at any instant loses at most the
+   round in flight; ``resume=True`` replays the committed records
+   (:func:`repro.campaign.checkpoint.replay`) and continues
+   bit-identically.
+4. **Apply** — the record is folded into the state
+   (:func:`repro.campaign.checkpoint.apply`), the same fold a resume
+   runs, so counters, bug dedup and corpus accounting are identical no
+   matter how the pool interleaved or where a crash fell.
 
-SIGINT/SIGTERM request a *graceful drain*: the current round finishes,
-a final checkpoint lands, and the journal records a clean
-``campaign_end`` with ``ok=False`` (interrupted, resumable).
+``bugs.jsonl`` and ``report.json`` are views written once when the run
+ends.  SIGINT/SIGTERM request a *graceful drain*: the current round
+finishes and commits, and the journal records a clean ``campaign_end``
+with ``ok=False`` (interrupted, resumable).
 """
 
 from __future__ import annotations
 
 import json
 import os
-import random
 import signal
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, wait
 from dataclasses import dataclass, field
 
-from repro.campaign.bugs import BugRecord, BugTracker
+from repro.campaign.bugs import write_bugs
 from repro.campaign.case import CaseResult, CaseTask, run_case
 from repro.campaign.checkpoint import (
+    DRAW_KNOBS,
+    CampaignConfig,
     CampaignState,
-    load_checkpoint,
-    save_checkpoint,
+    apply,
+    draw,
+    fresh_state,
+    read_journal,
+    replay,
+    round_record,
 )
-from repro.campaign.oracles import ORACLES
 from repro.core.parallel import SupervisedPool
-from repro.datasets.university import university_schema
-from repro.mutation.evolve import evolve_query
 from repro.obs import JournalWriter, Metrics
-from repro.testing.conformance import sample_conformance_query
 
 __all__ = ["CampaignConfig", "CampaignDriver", "CHECKPOINT", "BUGS", "JOURNAL"]
 
-CHECKPOINT = "checkpoint.json"
 BUGS = "bugs.jsonl"
 JOURNAL = "journal.jsonl"
+#: The journal is the checkpoint: :func:`load_checkpoint` replays it.
+CHECKPOINT = JOURNAL
 REPORT = "report.json"
-
-
-@dataclass
-class CampaignConfig:
-    """Knobs for one campaign run (all deterministic given ``seed``)."""
-
-    dir: str
-    seed: int = 0
-    #: Total case budget; the campaign stops when ``next_case`` hits it.
-    cases: int = 64
-    #: Cases drawn/executed/checkpointed per round.  Also the
-    #: backpressure bound on the pending queue.
-    round_size: int = 8
-    workers: int = 2
-    #: Hang watchdog: seconds an inflight case may run before the pool
-    #: is killed and all inflight cases are struck and requeued.
-    case_deadline: float = 120.0
-    #: Strikes before a task is recorded as an infrastructure skip.
-    max_strikes: int = 2
-    oracles: tuple[str, ...] = tuple(ORACLES)
-    #: Founding population size (seed queries from the conformance
-    #: grammar).
-    seed_corpus: int = 8
-    corpus_max: int = 256
-    #: Probability that a drawn case evolves its parent (vs re-testing
-    #: the parent unchanged against fresh oracle schedules).
-    evolve_probability: float = 0.75
-    #: Probability a case adds row-dropped dataset variants.
-    dataset_drop_probability: float = 0.5
-    #: Row-drop rate within an evolved dataset variant.
-    dataset_drop: float = 0.35
-
-    def path(self, name: str) -> str:
-        return os.path.join(self.dir, name)
 
 
 @dataclass
 class _RoundOutcome:
     results: list[CaseResult] = field(default_factory=list)
     requeued: int = 0
-    struck_out: int = 0
 
 
 class CampaignDriver:
@@ -110,78 +84,28 @@ class CampaignDriver:
         self.resume = resume
         self.metrics = Metrics()
         self._stop_requested = False
-        self._schema = university_schema()
 
-    # -- state ----------------------------------------------------------
+    def _load_state(self) -> tuple[CampaignState, bool]:
+        """The state to continue from, and whether it was resumed.
 
-    def _fresh_state(self) -> CampaignState:
-        state = CampaignState(seed=self.config.seed)
-        state.corpus.max_size = self.config.corpus_max
-        rng = random.Random(self.config.seed)
-        attempts = 0
-        while (
-            len(state.corpus) < self.config.seed_corpus
-            and attempts < self.config.seed_corpus * 10
-        ):
-            sql = sample_conformance_query(rng, self._schema)
-            state.corpus.admit(sql, origin=len(state.corpus), generation=0)
-            attempts += 1
-        state.capture_rng(rng)
-        return state
-
-    def _load_state(self) -> tuple[CampaignState, BugTracker, bool]:
-        checkpoint_path = self.config.path(CHECKPOINT)
-        if self.resume and os.path.exists(checkpoint_path):
-            state = load_checkpoint(checkpoint_path)
-            if state.seed != self.config.seed:
+        The journal is read even for a fresh run, to cut off a torn
+        last line before the writer appends after it.
+        """
+        path = self.config.path(JOURNAL)
+        if not os.path.exists(path):
+            return fresh_state(self.config), False
+        start, records, committed = read_journal(path)
+        os.truncate(path, committed)
+        if not self.resume or start is None:
+            return fresh_state(self.config), False
+        for name in DRAW_KNOBS:
+            if start.get(name) != getattr(self.config, name):
                 raise ValueError(
-                    f"checkpoint seed {state.seed} does not match "
-                    f"--seed {self.config.seed}; refusing to mix streams"
+                    f"journal {name} {start.get(name)!r} does not match "
+                    f"{name}={getattr(self.config, name)!r}; refusing to "
+                    "mix streams"
                 )
-            tracker = BugTracker.load(self.config.path(BUGS))
-            return state, tracker, True
-        state = self._fresh_state()
-        tracker = BugTracker(path=self.config.path(BUGS))
-        return state, tracker, False
-
-    # -- drawing --------------------------------------------------------
-
-    def _draw_round(
-        self, state: CampaignState, rng: random.Random
-    ) -> list[CaseTask]:
-        """Materialise this round's tasks (pure function of state+rng)."""
-        remaining = self.config.cases - state.next_case
-        count = max(0, min(self.config.round_size, remaining))
-        tasks: list[CaseTask] = []
-        for offset in range(count):
-            index = state.next_case + offset
-            parent = state.corpus.pick_parent(rng)
-            parent.trials += 1
-            sql = parent.sql
-            if rng.random() < self.config.evolve_probability:
-                evolved = evolve_query(rng, parent.sql)
-                if evolved is not None:
-                    sql, _applied = evolved
-                    if state.corpus.admit(
-                        sql, parent.origin, parent.generation + 1
-                    ):
-                        state.stats["admitted"] += 1
-            drop = (
-                self.config.dataset_drop
-                if rng.random() < self.config.dataset_drop_probability
-                else 0.0
-            )
-            tasks.append(
-                CaseTask(
-                    index=index,
-                    sql=sql,
-                    oracles=self.config.oracles,
-                    force_join_rewrites=bool(index % 2),
-                    dataset_drop=drop,
-                    drop_seed=rng.randrange(2**31),
-                )
-            )
-        return tasks
+        return replay(self.config, records), True
 
     # -- execution ------------------------------------------------------
 
@@ -201,7 +125,6 @@ class CampaignDriver:
                 skipped=f"infrastructure: {reason} "
                 f"(struck out after {strikes[task.index]} attempts)",
             )
-            outcome.struck_out += 1
         else:
             pending.append(task)
             outcome.requeued += 1
@@ -260,60 +183,16 @@ class CampaignDriver:
         outcome.results = [results[task.index] for task in tasks]
         return outcome
 
-    # -- applying -------------------------------------------------------
-
-    def _apply_results(
-        self,
-        state: CampaignState,
-        tracker: BugTracker,
-        journal: JournalWriter,
-        outcome: _RoundOutcome,
-    ) -> int:
-        """Fold results into state in case-index order; returns new bugs."""
-        new_bugs = 0
-        for result in sorted(outcome.results, key=lambda r: r.index):
-            state.stats["cases"] += 1
-            state.stats["executions"] += result.executions
-            state.stats["checks"] += result.checks
-            if result.skipped is not None:
-                state.stats["skipped"] += 1
+    def _count(self, results: list[CaseResult], new_bugs: int) -> None:
+        """This process's metrics for one applied round."""
+        for result in results:
             self.metrics.inc("xdata_campaign_cases_total")
             self.metrics.inc(
                 "xdata_campaign_executions_total", result.executions
             )
             self.metrics.observe("xdata_campaign_case_seconds", result.elapsed)
-            bug = result.bug
-            if bug is None:
-                continue
-            if bug.fingerprint in state.seen_bugs:
-                state.stats["rediscoveries"] += 1
-                existing = tracker.bugs.get(bug.fingerprint)
-                if existing is not None:
-                    existing.hits += 1
-                continue
-            state.seen_bugs.add(bug.fingerprint)
-            state.stats["bugs"] += 1
-            new_bugs += 1
-            tracker.record(
-                BugRecord(
-                    fingerprint=bug.fingerprint,
-                    oracle=bug.oracle,
-                    context=bug.context,
-                    sql=bug.sql,
-                    seed_case=result.index,
-                    minimized_dataset=bug.minimized_dataset,
-                    results=bug.results,
-                )
-            )
-            journal.campaign_bug(
-                fingerprint=bug.fingerprint,
-                oracle=bug.oracle,
-                context=bug.context,
-                sql=bug.sql,
-            )
-            self.metrics.inc("xdata_campaign_bugs_total")
-        state.stats["requeued"] += outcome.requeued
-        return new_bugs
+        if new_bugs:
+            self.metrics.inc("xdata_campaign_bugs_total", new_bugs)
 
     # -- lifecycle ------------------------------------------------------
 
@@ -321,10 +200,10 @@ class CampaignDriver:
         self._stop_requested = True
 
     def run(self) -> dict:
-        """Run until the case budget is spent, a signal drains us, or
-        ``stop_after_rounds`` (tests) is reached.  Returns the report."""
+        """Run until the case budget is spent or a signal drains us.
+        Returns the report."""
         os.makedirs(self.config.dir, exist_ok=True)
-        state, tracker, resumed = self._load_state()
+        state, resumed = self._load_state()
         journal = JournalWriter(self.config.path(JOURNAL))
         started = time.monotonic()
         previous_handlers = {}
@@ -336,10 +215,10 @@ class CampaignDriver:
             except ValueError:  # non-main thread (tests): skip handlers
                 previous_handlers.pop(signum, None)
         journal.campaign_start(
-            seed=state.seed,
             cases=self.config.cases,
             resumed=resumed,
             next_case=state.next_case,
+            **{name: getattr(self.config, name) for name in DRAW_KNOBS},
         )
         interrupted = False
         try:
@@ -348,17 +227,21 @@ class CampaignDriver:
                     if self._stop_requested:
                         interrupted = True
                         break
-                    rng = state.make_rng()
-                    tasks = self._draw_round(state, rng)
-                    state.capture_rng(rng)
-                    outcome = self._run_round(pool, tasks)
-                    new_bugs = self._apply_results(
-                        state, tracker, journal, outcome
+                    count = min(
+                        self.config.round_size,
+                        self.config.cases - state.next_case,
                     )
-                    state.next_case += len(tasks)
-                    state.round += 1
+                    tasks = draw(state, self.config, count)
+                    outcome = self._run_round(pool, tasks)
+                    record = round_record(
+                        state, outcome.results, outcome.requeued
+                    )
+                    new_bugs = sum(
+                        isinstance(case.get("bug"), dict)
+                        for case in record["cases"]
+                    )
                     journal.campaign_round(
-                        round=state.round,
+                        round=record["round"],
                         cases=len(tasks),
                         bugs=new_bugs,
                         executions=sum(
@@ -366,35 +249,32 @@ class CampaignDriver:
                         ),
                         requeued=outcome.requeued,
                     )
-                    # Flush bugs BEFORE the checkpoint: a crash between
-                    # the two re-runs the round and re-flushes the same
-                    # deduped store — duplicates remain impossible.
-                    tracker.flush()
-                    save_checkpoint(self.config.path(CHECKPOINT), state)
-                    journal.campaign_checkpoint(
-                        round=state.round, next_case=state.next_case
-                    )
+                    # The commit point: fsync'd before it is applied.
+                    journal.campaign_checkpoint(**record)
+                    apply(state, record)
+                    self._count(outcome.results, new_bugs)
+            elapsed = time.monotonic() - started
+            completed = state.next_case >= self.config.cases
+            journal.campaign_end(
+                cases=state.stats["cases"],
+                bugs=len(state.bugs),
+                ok=completed and not interrupted,
+            )
         finally:
             for signum, handler in previous_handlers.items():
                 signal.signal(signum, handler)
-        elapsed = time.monotonic() - started
-        completed = state.next_case >= self.config.cases
-        journal.campaign_end(
-            cases=state.stats["cases"],
-            bugs=len(tracker),
-            ok=completed and not interrupted,
-        )
-        journal.close()
+            journal.close()
+        write_bugs(self.config.path(BUGS), state.bugs)
         self.metrics.gauge("xdata_campaign_corpus_size", len(state.corpus))
         report = {
-            "seed": state.seed,
+            "seed": self.config.seed,
             "completed": completed,
             "interrupted": interrupted,
             "resumed": resumed,
             "rounds": state.round,
             "next_case": state.next_case,
             "corpus_size": len(state.corpus),
-            "bugs": len(tracker),
+            "bugs": len(state.bugs),
             "stats": state.stats,
             "elapsed_s": round(elapsed, 3),
             "cases_per_s": round(state.stats["cases"] / elapsed, 3)

@@ -5,12 +5,12 @@ query for kill checking; the campaign needs the same edit vocabulary as
 a *sampler* — draw one structural edit at random and keep the result as
 a new corpus member.  The operators here reuse the mutation machinery's
 AST rewrites (:mod:`repro.mutation.util`) but return SQL text via the
-printer, because the campaign corpus stores queries as text (checkpoint
-files are JSON, and workers re-parse anyway).
+printer, because the campaign corpus stores queries as text (the
+campaign journal is JSON, and workers re-parse anyway).
 
 Every operator is a pure function of ``(rng, query)``; evolution is
 therefore deterministic for a given corpus state and RNG state, which
-is what makes a SIGKILLed campaign replayable from its checkpoint.
+is what makes a SIGKILLed campaign replayable from its journal.
 """
 
 from __future__ import annotations
@@ -161,7 +161,7 @@ def _change_join_kind(rng: random.Random, query: Query) -> Query | None:
 
 
 #: Operator name -> function; order is part of the deterministic
-#: evolution contract (checkpointed RNG draws index into it).
+#: evolution contract (replayed RNG draws index into it).
 _OPERATORS = {
     "flip-comparison-op": _flip_comparison_op,
     "tweak-constant": _tweak_constant,

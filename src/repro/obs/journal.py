@@ -22,10 +22,12 @@ Event schema (``schema`` names the journal format version):
 
 The differential fuzzing campaign (DESIGN.md §5i) appends its own event
 family into the same format: ``campaign_start`` / ``campaign_round`` /
-``campaign_bug`` / ``campaign_checkpoint`` / ``campaign_end``.  A
-``campaign_start`` implicitly closes any open campaign, because a
-SIGKILLed campaign leaves no ``campaign_end`` and the resumed run
-appends to the same journal.
+``campaign_checkpoint`` / ``campaign_end``.  A ``campaign_checkpoint``
+carries a round's results and is the campaign's commit point, so it is
+the one event kind fsync'd before :meth:`JournalWriter.event` returns;
+every other event is only flushed.  A ``campaign_start`` implicitly
+closes any open campaign, because a SIGKILLed campaign leaves no
+``campaign_end`` and the resumed run appends to the same journal.
 
 The journal is append-only: successive runs (a workload's per-query
 ``generate()`` calls) concatenate into one file.  :func:`validate_journal`
@@ -37,6 +39,7 @@ CI smoke step's checker).
 from __future__ import annotations
 
 import json
+import os
 import time
 
 __all__ = ["JournalWriter", "validate_journal", "JournalError"]
@@ -53,8 +56,7 @@ _REQUIRED_KEYS = {
     # -- campaign events (DESIGN.md §5i) -------------------------------
     "campaign_start": ("v", "ts", "seed", "cases", "resumed"),
     "campaign_round": ("round", "cases", "bugs", "executions"),
-    "campaign_bug": ("fingerprint", "oracle", "context"),
-    "campaign_checkpoint": ("round", "next_case"),
+    "campaign_checkpoint": ("round", "next_case", "requeued", "cases"),
     "campaign_end": ("ts", "cases", "bugs", "ok"),
 }
 
@@ -69,7 +71,8 @@ class JournalError(ValueError):
 
 
 class JournalWriter:
-    """Appends journal events to a JSON-lines file, flushing per event."""
+    """Appends journal events to a JSON-lines file, flushing per event
+    and fsyncing each ``campaign_checkpoint``."""
 
     def __init__(self, path: str):
         self.path = path
@@ -79,6 +82,8 @@ class JournalWriter:
         record = {"event": kind, **payload}
         self._handle.write(json.dumps(record, default=str) + "\n")
         self._handle.flush()
+        if kind == "campaign_checkpoint":
+            os.fsync(self._handle.fileno())
 
     def run_start(self, sql: str | None) -> None:
         self.event("run_start", v=SCHEMA_VERSION, ts=time.time(), sql=sql)
@@ -128,17 +133,11 @@ class JournalWriter:
             executions=executions, **extra,
         )
 
-    def campaign_bug(self, fingerprint: str, oracle: str, context: str,
-                     **extra) -> None:
-        self.event(
-            "campaign_bug", fingerprint=fingerprint, oracle=oracle,
-            context=context, **extra,
-        )
-
     def campaign_checkpoint(self, round: int, next_case: int,
-                            **extra) -> None:
+                            requeued: int, cases: list) -> None:
         self.event(
-            "campaign_checkpoint", round=round, next_case=next_case, **extra
+            "campaign_checkpoint", round=round, next_case=next_case,
+            requeued=requeued, cases=cases,
         )
 
     def campaign_end(self, cases: int, bugs: int, ok: bool,

@@ -1,7 +1,8 @@
 """Tests for the crash-safe differential fuzzing campaign.
 
 Covers the campaign subsystem bottom-up: query evolution, corpus
-admission/round-trip, bug fingerprinting and dedup, atomic checkpoints,
+admission, bug fingerprinting and dedup, journal replay and its
+one fsync per round,
 the three oracles (including seeded-defect detection through lying
 backends), driver determinism, crash/hang recovery, graceful drain —
 and the pinned acceptance property: SIGKILL mid-campaign followed by
@@ -24,7 +25,6 @@ import pytest
 from repro.backends import BackendDisagreement, EngineBackend
 from repro.campaign import (
     BugRecord,
-    BugTracker,
     CampaignConfig,
     CampaignDriver,
     CampaignState,
@@ -36,10 +36,20 @@ from repro.campaign import (
     load_checkpoint,
     query_features,
     run_case,
-    save_checkpoint,
 )
 from repro.campaign import case as campaign_case
-from repro.campaign.case import CaseTask
+from repro.campaign import driver as driver_module
+from repro.campaign.bugs import write_bugs
+from repro.campaign.case import CaseBug, CaseResult, CaseTask
+from repro.campaign.checkpoint import (
+    DRAW_KNOBS,
+    apply,
+    draw,
+    fresh_state,
+    read_journal,
+    round_record,
+)
+from repro.campaign.driver import _RoundOutcome
 from repro.campaign.oracles import duplicate_sensitivity_transforms
 from repro.core.generator import XDataGenerator
 from repro.datasets.university import university_schema
@@ -48,7 +58,7 @@ from repro.engine.relation import Relation
 from repro.memo import clear_process_memos, memo_counters
 from repro.mutation import evolve_query, evolution_operators
 from repro.mutation.space import enumerate_mutants
-from repro.obs.journal import validate_journal
+from repro.obs.journal import JournalWriter, validate_journal
 from repro.sql.ast import JoinKind
 from repro.testing.killcheck import result_signature
 
@@ -128,14 +138,6 @@ class TestCorpus:
             generation=0,
         )
 
-    def test_state_round_trip(self):
-        corpus = Corpus(max_size=7)
-        corpus.admit(_JOIN_SQL, origin=0)
-        corpus.items[0].trials = 4
-        restored = Corpus.from_state(corpus.state())
-        assert restored.state() == corpus.state()
-        assert restored.items[0].features == corpus.items[0].features
-
     def test_bounded_size_evicts_most_trialled(self):
         corpus = Corpus(max_size=2)
         corpus.admit("SELECT * FROM course c", 0)
@@ -151,16 +153,32 @@ class TestCorpus:
 # ---------------------------------------------------------------------------
 
 
+def _case_bug(fingerprint="f1") -> CaseBug:
+    return CaseBug(
+        fingerprint=fingerprint,
+        oracle="join-identity",
+        context="case 3: identity violation",
+        sql=_JOIN_SQL,
+        minimized_dataset={"instructor": [[1, "a", "CS", None]]},
+        results={},
+    )
+
+
+def _case_entry(bug=None) -> dict:
+    """One case of a ``campaign_checkpoint`` record."""
+    entry = {"sql": _JOIN_SQL, "executions": 3, "checks": 2, "skipped": None}
+    if bug is not None:
+        entry["bug"] = bug
+    return entry
+
+
 class TestBugTracker:
+    """Bug triage: structural fingerprints, dedup in ``apply`` and the
+    ``bugs.jsonl`` view."""
+
     def _bug(self, fingerprint="f1"):
         return BugRecord(
-            fingerprint=fingerprint,
-            oracle="join-identity",
-            context="case 3: identity violation",
-            sql=_JOIN_SQL,
-            seed_case=3,
-            minimized_dataset={"instructor": [[1, "a", "CS", None]]},
-            results={},
+            seed_case=3, **dataclasses.asdict(_case_bug(fingerprint))
         )
 
     def test_fingerprint_is_stable_and_content_sensitive(self):
@@ -174,28 +192,26 @@ class TestBugTracker:
         )
 
     def test_dedup_counts_hits(self):
-        tracker = BugTracker()
-        assert tracker.record(self._bug())
-        assert not tracker.record(self._bug())
-        assert tracker.bugs["f1"].hits == 2
-        assert len(tracker) == 1
+        state = CampaignState(random.Random(0), Corpus())
+        first = _case_entry(dataclasses.asdict(_case_bug()))
+        apply(state, {"requeued": 0, "cases": [first, _case_entry("f1")]})
+        assert state.bugs["f1"].hits == 2
+        assert state.bugs["f1"].seed_case == 0
+        assert len(state.bugs) == 1
+        assert (state.stats["bugs"], state.stats["rediscoveries"]) == (1, 1)
 
     def test_flush_load_round_trip(self, tmp_path):
         path = str(tmp_path / "bugs.jsonl")
-        tracker = BugTracker(path=path)
-        tracker.record(self._bug("a"))
-        tracker.record(self._bug("b"))
-        tracker.flush()
-        restored = BugTracker.load(path)
-        assert restored.fingerprints == {"a", "b"}
-        assert restored.bugs["a"].sql == _JOIN_SQL
+        bugs = {"a": self._bug("a"), "b": self._bug("b")}
+        write_bugs(path, bugs)
+        with open(path, encoding="utf-8") as fh:
+            restored = [BugRecord(**json.loads(line)) for line in fh]
+        assert restored == [bugs["a"], bugs["b"]]
 
     def test_flush_is_rewrite_not_append(self, tmp_path):
         path = str(tmp_path / "bugs.jsonl")
-        tracker = BugTracker(path=path)
-        tracker.record(self._bug("a"))
-        tracker.flush()
-        tracker.flush()  # a replayed round re-flushes the same store
+        write_bugs(path, {"a": self._bug("a")})
+        write_bugs(path, {"a": self._bug("a")})  # a resume rewrites the view
         lines = [
             line
             for line in open(path, encoding="utf-8").read().splitlines()
@@ -203,69 +219,68 @@ class TestBugTracker:
         ]
         assert len(lines) == 1
 
-    def test_failed_flush_keeps_previous_file(self, tmp_path, monkeypatch):
-        path = str(tmp_path / "bugs.jsonl")
-        tracker = BugTracker(path=path)
-        tracker.record(self._bug("a"))
-        tracker.flush()
-        before = open(path, encoding="utf-8").read()
-        tracker.record(self._bug("b"))
 
-        import repro.campaign.bugs as bugs_mod
+# ---------------------------------------------------------------------------
+# checkpoint: the journal replayed
+# ---------------------------------------------------------------------------
 
-        def boom(src, dst):
-            raise OSError("simulated crash before rename")
 
-        monkeypatch.setattr(bugs_mod.os, "replace", boom)
-        with pytest.raises(OSError):
-            tracker.flush()
-        assert open(path, encoding="utf-8").read() == before
-        assert not [
-            name for name in os.listdir(tmp_path) if ".tmp." in name
+def _snapshot(state: CampaignState) -> tuple:
+    """Everything a campaign state holds, in comparable form."""
+    return (
+        state.next_case,
+        state.round,
+        state.rng.getstate(),
+        state.corpus,
+        state.stats,
+        state.bugs,
+    )
+
+
+def _synthetic_journal(config: CampaignConfig, rounds: int) -> CampaignState:
+    """Journal ``rounds`` rounds of synthetic results; return the live
+    state they leave."""
+    os.makedirs(config.dir)
+    journal = JournalWriter(config.path("journal.jsonl"))
+    journal.campaign_start(
+        cases=config.cases, resumed=False,
+        **{name: getattr(config, name) for name in DRAW_KNOBS},
+    )
+    state = fresh_state(config)
+    for _ in range(rounds):
+        tasks = draw(state, config, config.round_size)
+        results = [
+            CaseResult(task.index, task.sql, executions=task.index, checks=1)
+            for task in tasks
         ]
-
-
-# ---------------------------------------------------------------------------
-# checkpoint
-# ---------------------------------------------------------------------------
+        record = round_record(state, results, requeued=1)
+        journal.campaign_checkpoint(**record)
+        apply(state, record)
+    journal.close()
+    return state
 
 
 class TestCheckpoint:
     def test_round_trip_including_rng(self, tmp_path):
-        state = CampaignState(seed=3)
-        rng = random.Random(3)
-        rng.random()
-        state.capture_rng(rng)
-        state.next_case = 12
-        state.round = 3
-        state.corpus.admit(_JOIN_SQL, 0)
-        state.seen_bugs.add("deadbeef")
-        state.stats["cases"] = 12
-        path = str(tmp_path / "checkpoint.json")
-        save_checkpoint(path, state)
-        restored = load_checkpoint(path)
-        assert restored.next_case == 12
-        assert restored.seen_bugs == {"deadbeef"}
-        assert restored.corpus.state() == state.corpus.state()
+        config = _config(tmp_path)
+        state = _synthetic_journal(config, rounds=2)
+        restored = load_checkpoint(config.path("journal.jsonl"))
+        assert restored.next_case == 8 and restored.stats["requeued"] == 2
+        assert _snapshot(restored) == _snapshot(state)
         # The restored RNG continues the exact stream.
-        assert restored.make_rng().random() == rng.random()
+        assert restored.rng.random() == state.rng.random()
 
-    def test_failed_save_leaves_previous_checkpoint(
-        self, tmp_path, monkeypatch
-    ):
-        path = str(tmp_path / "checkpoint.json")
-        save_checkpoint(path, CampaignState(seed=1))
-        before = open(path, encoding="utf-8").read()
-
-        import repro.campaign.checkpoint as cp_mod
-
-        monkeypatch.setattr(
-            cp_mod.os, "replace",
-            lambda src, dst: (_ for _ in ()).throw(OSError("crash")),
-        )
-        with pytest.raises(OSError):
-            save_checkpoint(path, CampaignState(seed=2))
-        assert open(path, encoding="utf-8").read() == before
+    def test_replay_refuses_a_journal_it_cannot_redraw(self, tmp_path):
+        config = _config(tmp_path)
+        _synthetic_journal(config, rounds=2)
+        path = config.path("journal.jsonl")
+        lines = open(path, encoding="utf-8").read().splitlines(True)
+        record = json.loads(lines[-1])
+        record["cases"][0]["sql"] = "SELECT * FROM course c"
+        lines[-1] = json.dumps(record) + "\n"
+        open(path, "w", encoding="utf-8").writelines(lines)
+        with pytest.raises(ValueError, match="round 2 does not replay"):
+            load_checkpoint(path)
 
 
 # ---------------------------------------------------------------------------
@@ -642,11 +657,48 @@ def _config(tmp_path, **overrides) -> CampaignConfig:
     return CampaignConfig(**defaults)
 
 
-def _checkpoint_sans_clock(path: str) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    data.pop("ts")
-    return data
+def _committed(directory: str) -> tuple:
+    """A campaign directory's committed records and replayed state."""
+    journal = os.path.join(directory, "journal.jsonl")
+    _, records, _ = read_journal(journal)
+    return records, _snapshot(load_checkpoint(journal))
+
+
+def _bugs_view(directory: str) -> str:
+    with open(os.path.join(directory, "bugs.jsonl"), encoding="utf-8") as fh:
+        return fh.read()
+
+
+def _synthetic_rounds(monkeypatch, bug_cases=()) -> None:
+    """Replace case execution with synthetic results; the cases indexed
+    in ``bug_cases`` all report one planted bug."""
+
+    def run_round(self, pool, tasks):
+        results = []
+        for task in tasks:
+            result = CaseResult(task.index, task.sql, executions=2, checks=1)
+            if task.index in bug_cases:
+                result.bug = _case_bug("planted")
+            results.append(result)
+        return _RoundOutcome(results=results)
+
+    monkeypatch.setattr(CampaignDriver, "_run_round", run_round)
+
+
+class _Crash(Exception):
+    """Stands in for a SIGKILL that lands right after a commit."""
+
+
+def _crash_after_round(monkeypatch, rounds: int) -> None:
+    """Make the driver die right after round ``rounds`` is committed."""
+
+    class CrashingJournal(JournalWriter):
+        def event(self, kind: str, **payload) -> None:
+            super().event(kind, **payload)
+            if kind == "campaign_checkpoint" and payload["round"] == rounds:
+                raise _Crash
+
+    monkeypatch.setattr(driver_module, "JournalWriter", CrashingJournal)
 
 
 class TestDriver:
@@ -669,9 +721,25 @@ class TestDriver:
         b = _config(tmp_path, dir=str(tmp_path / "b"))
         CampaignDriver(a).run()
         CampaignDriver(b).run()
-        assert _checkpoint_sans_clock(
-            a.path("checkpoint.json")
-        ) == _checkpoint_sans_clock(b.path("checkpoint.json"))
+        assert _committed(a.dir) == _committed(b.dir)
+        assert _bugs_view(a.dir) == _bugs_view(b.dir)
+
+    def test_one_fsync_per_round(self, tmp_path, monkeypatch):
+        fsynced = []
+        real_fsync = os.fsync
+
+        def counting_fsync(fd):
+            fsynced.append(fd)
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", counting_fsync)
+        config = _config(tmp_path, workers=1)  # 8 cases in rounds of 4
+        report = CampaignDriver(config).run()
+        assert report["rounds"] == 2
+        assert len(fsynced) == 2
+        assert sorted(os.listdir(config.dir)) == [
+            "bugs.jsonl", "journal.jsonl", "report.json",
+        ]
 
     def test_resume_continues_the_same_stream(self, tmp_path):
         full = _config(tmp_path, dir=str(tmp_path / "full"), cases=12)
@@ -680,9 +748,23 @@ class TestDriver:
         CampaignDriver(split).run()
         grown = _config(tmp_path, dir=str(tmp_path / "split"), cases=12)
         CampaignDriver(grown, resume=True).run()
-        assert _checkpoint_sans_clock(
-            full.path("checkpoint.json")
-        ) == _checkpoint_sans_clock(grown.path("checkpoint.json"))
+        assert _committed(full.dir) == _committed(grown.dir)
+        assert _bugs_view(full.dir) == _bugs_view(grown.dir)
+
+    def test_resume_after_eviction_is_exact(self, tmp_path):
+        """A full corpus evicts a member on each admission; a resume
+        must still know the evicted members' features, or it admits
+        children the uninterrupted run rejects."""
+        knobs = dict(seed=11, round_size=4, workers=1, corpus_max=8)
+        full = _config(tmp_path, dir=str(tmp_path / "full"), cases=32, **knobs)
+        CampaignDriver(full).run()
+        split = _config(tmp_path, dir=str(tmp_path / "split"), cases=16, **knobs)
+        CampaignDriver(split).run()
+        grown = _config(tmp_path, dir=str(tmp_path / "split"), cases=32, **knobs)
+        CampaignDriver(grown, resume=True).run()
+        state = load_checkpoint(full.path("journal.jsonl"))
+        assert state.stats["admitted"] > 0 and len(state.corpus) == 8
+        assert _committed(grown.dir) == _committed(full.dir)
 
     def test_resume_refuses_mismatched_seed(self, tmp_path):
         config = _config(tmp_path)
@@ -690,6 +772,61 @@ class TestDriver:
         other = _config(tmp_path, seed=99)
         with pytest.raises(ValueError, match="seed"):
             CampaignDriver(other, resume=True).run()
+
+    @pytest.mark.parametrize(
+        "knob, value",
+        [("seed_corpus", 6), ("corpus_max", 9), ("evolve_probability", 0.5),
+         ("dataset_drop_probability", 0.25), ("dataset_drop", 0.5)],
+    )
+    def test_resume_refuses_a_mismatched_draw_knob(
+        self, tmp_path, monkeypatch, knob, value
+    ):
+        _synthetic_rounds(monkeypatch)
+        CampaignDriver(_config(tmp_path)).run()
+        other = _config(tmp_path, **{knob: value})
+        with pytest.raises(ValueError, match=f"journal {knob} "):
+            CampaignDriver(other, resume=True).run()
+
+    def test_crash_after_a_commit_keeps_bug_hits_exact(
+        self, tmp_path, monkeypatch
+    ):
+        """A bug first found in round 2 recurs in round 3.  A crash right
+        after round 2 commits, then a resume, must report it as the
+        uninterrupted run does: once, with ``hits`` 2."""
+        _synthetic_rounds(monkeypatch, bug_cases=(5, 9))
+        reference = _config(tmp_path, dir=str(tmp_path / "ref"), cases=12)
+        CampaignDriver(reference).run()
+        crashed = _config(tmp_path, dir=str(tmp_path / "crashed"), cases=12)
+        with monkeypatch.context() as patch:
+            _crash_after_round(patch, 2)
+            with pytest.raises(_Crash):
+                CampaignDriver(crashed).run()
+        report = CampaignDriver(crashed, resume=True).run()
+        assert report["completed"] and report["resumed"]
+        view = _bugs_view(reference.dir)
+        assert [json.loads(line)["hits"] for line in view.splitlines()] == [2]
+        assert _bugs_view(crashed.dir) == view
+        assert _committed(crashed.dir) == _committed(reference.dir)
+
+    def test_torn_tail_is_cut_before_resume(self, tmp_path, monkeypatch):
+        """A SIGKILL mid-append leaves half a record; the resume drops
+        it, replays the committed rounds and completes the campaign."""
+        full = _config(tmp_path, dir=str(tmp_path / "full"), cases=12, workers=1)
+        CampaignDriver(full).run()
+        torn = _config(tmp_path, dir=str(tmp_path / "torn"), cases=12, workers=1)
+        with monkeypatch.context() as patch:
+            _crash_after_round(patch, 1)
+            with pytest.raises(_Crash):
+                CampaignDriver(torn).run()
+        # Half of the next record, as the uninterrupted run wrote it.
+        lines = open(full.path("journal.jsonl"), encoding="utf-8").readlines()
+        second = [line for line in lines if "campaign_checkpoint" in line][1]
+        with open(torn.path("journal.jsonl"), "a", encoding="utf-8") as fh:
+            fh.write(second[: len(second) // 2])
+        report = CampaignDriver(torn, resume=True).run()
+        assert report["completed"] and report["resumed"]
+        validate_journal(torn.path("journal.jsonl"))
+        assert _committed(torn.dir) == _committed(full.dir)
 
     def test_results_identical_across_pool_widths(self, tmp_path):
         """Every pool width completes the same campaign with the same
@@ -741,43 +878,26 @@ class TestDriver:
             >= 1
         )
 
-    def test_new_bugs_are_deduplicated_across_rounds(self, tmp_path):
-        # Synthetic results exercise the apply path without needing a
-        # real engine defect: two cases hit the same fingerprint.
-        from repro.campaign.case import CaseBug, CaseResult
-        from repro.campaign.driver import _RoundOutcome
-        from repro.obs import JournalWriter
-
+    def test_new_bugs_are_deduplicated_across_rounds(
+        self, tmp_path, monkeypatch
+    ):
+        # Synthetic results exercise the record and apply path without
+        # needing a real engine defect: three cases hit one fingerprint.
+        _synthetic_rounds(monkeypatch, bug_cases=(1, 2, 5))
         config = _config(tmp_path)
-        os.makedirs(config.dir)
-        driver = CampaignDriver(config)
-        state = CampaignState(seed=11)
-        tracker = BugTracker(path=config.path("bugs.jsonl"))
-        journal = JournalWriter(config.path("journal.jsonl"))
-        journal.campaign_start(seed=11, cases=8, resumed=False)
-
-        def result(index):
-            r = CaseResult(index, _JOIN_SQL)
-            r.bug = CaseBug(
-                fingerprint="same-bug",
-                oracle="join-identity",
-                context=f"case {index}",
-                sql=_JOIN_SQL,
-                minimized_dataset={},
-                results={},
-            )
-            return r
-
-        outcome = _RoundOutcome(results=[result(0), result(1)])
-        new = driver._apply_results(state, tracker, journal, outcome)
-        assert new == 1
-        assert state.stats["bugs"] == 1
-        assert state.stats["rediscoveries"] == 1
-        assert tracker.bugs["same-bug"].hits == 2
-        tracker.flush()
-        assert len(BugTracker.load(config.path("bugs.jsonl"))) == 1
-        journal.campaign_end(cases=2, bugs=1, ok=True)
-        journal.close()
+        report = CampaignDriver(config).run()
+        assert report["bugs"] == 1
+        assert report["stats"]["bugs"] == 1
+        assert report["stats"]["rediscoveries"] == 2
+        _, records, _ = read_journal(config.path("journal.jsonl"))
+        bugs = [case.get("bug") for record in records for case in record["cases"]]
+        # In full the first time, by fingerprint after that.
+        assert isinstance(bugs[1], dict) and bugs[1]["fingerprint"] == "planted"
+        assert [bugs[2], bugs[5]] == ["planted", "planted"]
+        assert bugs.count(None) == 5
+        (line,) = _bugs_view(config.dir).splitlines()
+        assert json.loads(line)["hits"] == 3
+        assert json.loads(line)["seed_case"] == 1
         validate_journal(config.path("journal.jsonl"))
 
 
@@ -821,6 +941,15 @@ def _live_group_members(group: int) -> list[int]:
     return members
 
 
+def _committed_next_case(journal: str) -> int:
+    """``next_case`` of the journal's last complete record (0 if none)."""
+    try:
+        _, records, _ = read_journal(journal)
+    except OSError:
+        return 0  # not created yet
+    return records[-1]["next_case"] if records else 0
+
+
 class TestKillResume:
     def test_sigkill_then_resume_matches_uninterrupted_run(self, tmp_path):
         env = _cli_env()
@@ -840,15 +969,12 @@ class TestKillResume:
             start_new_session=True,
         )
         group = proc.pid
-        checkpoint = os.path.join(killed, "checkpoint.json")
+        journal = os.path.join(killed, "journal.jsonl")
         try:
             deadline = time.monotonic() + 120
             while time.monotonic() < deadline:
-                try:
-                    if json.load(open(checkpoint))["next_case"] >= 8:
-                        break
-                except (OSError, json.JSONDecodeError, KeyError):
-                    pass  # not checkpointed yet / mid-replace
+                if _committed_next_case(journal) >= 8:
+                    break
                 time.sleep(0.01)
             else:
                 pytest.fail("campaign never reached the kill point")
@@ -870,7 +996,7 @@ class TestKillResume:
             except ProcessLookupError:
                 pass
             proc.wait(timeout=60)
-        killed_at = json.load(open(checkpoint))["next_case"]
+        killed_at = _committed_next_case(journal)
         assert 8 <= killed_at < 24, "SIGKILL landed mid-campaign"
         done = subprocess.run(
             _CLI + ["--dir", killed, "--cases", "24", "--resume"],
@@ -878,11 +1004,10 @@ class TestKillResume:
             text=True,
         )
         assert "complete" in done.stdout
-        # Corpus, RNG position, stats, seen bugs: all bit-identical to
-        # the run that was never interrupted.
-        assert _checkpoint_sans_clock(
-            os.path.join(reference, "checkpoint.json")
-        ) == _checkpoint_sans_clock(checkpoint)
+        # Records, corpus, RNG position, stats and bugs (hits included):
+        # all identical to the run that was never interrupted.
+        assert _committed(killed) == _committed(reference)
+        assert _bugs_view(killed) == _bugs_view(reference)
         # No duplicate bug reports.
         lines = [
             json.loads(line)
@@ -893,7 +1018,7 @@ class TestKillResume:
         assert len(fingerprints) == len(set(fingerprints))
         # The journal validates even with the torn campaign inside it
         # (resume's campaign_start implicitly closes the killed one).
-        events = validate_journal(os.path.join(killed, "journal.jsonl"))
+        events = validate_journal(journal)
         starts = [e for e in events if e["event"] == "campaign_start"]
         assert len(starts) == 2 and starts[1]["resumed"] is True
 
@@ -907,11 +1032,12 @@ class TestKillResume:
             stderr=subprocess.STDOUT,
             text=True,
         )
-        checkpoint = os.path.join(directory, "checkpoint.json")
+        journal = os.path.join(directory, "journal.jsonl")
         try:
             deadline = time.monotonic() + 120
             while time.monotonic() < deadline:
-                if os.path.exists(checkpoint):
+                # The journal exists before round 1; wait for a commit.
+                if _committed_next_case(journal) > 0:
                     break
                 time.sleep(0.01)
             proc.send_signal(signal.SIGTERM)
@@ -922,9 +1048,9 @@ class TestKillResume:
                 proc.wait()
         assert proc.returncode == 0, out
         assert "interrupted (resumable)" in out
-        events = validate_journal(os.path.join(directory, "journal.jsonl"))
+        events = validate_journal(journal)
         end = [e for e in events if e["event"] == "campaign_end"]
         assert len(end) == 1 and end[0]["ok"] is False
-        # The drain checkpoint is resumable.
-        state = load_checkpoint(checkpoint)
+        # The drained journal is resumable.
+        state = load_checkpoint(journal)
         assert state.next_case >= 4
