@@ -24,7 +24,6 @@ control over each pipeline stage.
 from repro.baseline import ShortPaperGenerator
 from repro.core import (
     AnalyzedQuery,
-    Budgets,
     GenConfig,
     GeneratedDataset,
     SuiteHealth,
@@ -77,7 +76,6 @@ __all__ = [
     "Evaluation",
     "EvalOptions",
     "Session",
-    "Budgets",
     "SuiteHealth",
     "XDataGenerator",
     "GenConfig",

@@ -37,7 +37,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.generator import (
-    Budgets,
     GenConfig,
     GeneratedDataset,
     SuiteHealth,
@@ -65,7 +64,6 @@ __all__ = [
     "fingerprint",
     "GenConfig",
     "SearchConfig",
-    "Budgets",
 ]
 
 

@@ -95,15 +95,6 @@ def _build_parser() -> argparse.ArgumentParser:
             help="disable quantifier unfolding (the paper's slow mode)",
         )
         cmd.add_argument(
-            "--workers",
-            type=int,
-            default=1,
-            metavar="N",
-            help="worker processes for dataset generation (datasets are "
-            "independent constraint problems; results are identical to "
-            "a sequential run)",
-        )
-        cmd.add_argument(
             "--input-db",
             action="store_true",
             help="with --university: constrain values to the sample database",
@@ -185,6 +176,16 @@ def _build_parser() -> argparse.ArgumentParser:
                 "--show-constraints",
                 action="store_true",
                 help="print each dataset's constraints in CVC3 ASSERT syntax",
+            )
+        if name == "workload":
+            cmd.add_argument(
+                "--workers",
+                type=int,
+                default=1,
+                metavar="N",
+                help="worker processes generating the queries in parallel "
+                "(one query per task; results are identical to a "
+                "sequential run)",
             )
         if name in ("export", "workload"):
             cmd.add_argument(
@@ -288,6 +289,7 @@ def _run_workload(schema, config, args) -> int:
         schema,
         queries,
         config,
+        workers=max(1, args.workers),
         backend=None if args.backend == "engine" else args.backend,
         cross_check=args.cross_check,
         subplan_cache=not args.no_subplan_cache,
@@ -333,7 +335,6 @@ def main(argv: list[str] | None = None) -> int:
             unfold=not args.no_unfold,
             input_db=input_db,
             trace_constraints=getattr(args, "show_constraints", False),
-            workers=max(1, args.workers),
             spec_deadline_s=args.deadline,
             retries=max(0, args.retries),
             fail_fast=args.fail_fast,

@@ -11,7 +11,6 @@ Public surface:
 
 from repro.core.analyze import AnalyzedQuery, analyze_query
 from repro.core.generator import (
-    Budgets,
     GeneratedDataset,
     GenConfig,
     SuiteHealth,
@@ -24,7 +23,6 @@ __all__ = [
     "analyze_query",
     "XDataGenerator",
     "GenConfig",
-    "Budgets",
     "TestSuite",
     "GeneratedDataset",
     "SuiteHealth",

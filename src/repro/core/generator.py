@@ -23,7 +23,7 @@ from __future__ import annotations
 import dataclasses
 import os
 import time
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 from repro.core import (
     kill_aggregates,
@@ -51,24 +51,9 @@ from repro.sql.ast import Query
 from repro.sql.parser import parse_query
 
 
-@dataclass(frozen=True)
-class Budgets:
-    """Every wall-clock budget of a run, under one naming convention.
-
-    Overlay object for :class:`GenConfig`: ``GenConfig(budgets=Budgets(
-    suite_deadline_s=30.0))`` applies each non-``None`` field onto the
-    matching config knob (``solve_deadline_s`` lands on the nested
-    :attr:`GenConfig.solver` search config).  All values are seconds.
-    """
-
-    #: Budget for one solver search run (:attr:`SearchConfig.solve_deadline_s`).
-    solve_deadline_s: float | None = None
-    #: Budget for one spec's whole retry ladder.
-    spec_deadline_s: float | None = None
-    #: Budget for a whole ``generate()`` call.
-    suite_deadline_s: float | None = None
-    #: Budget for a pooled run's wait on any single worker result.
-    pool_deadline_s: float | None = None
+#: Retry ladder (§5d): each budget-escalation retry multiplies the node
+#: budget by this factor (``node_limit * RETRY_NODE_FACTOR**i``).
+RETRY_NODE_FACTOR = 4
 
 
 @dataclass
@@ -96,12 +81,6 @@ class GenConfig:
     input_mode: str = "domain"
     solver: SearchConfig = field(default_factory=SearchConfig)
     trace_constraints: bool = False
-    #: Worker processes for dataset generation.  Every spec is an
-    #: independent constraint problem; with ``workers > 1`` they are
-    #: fanned out across a process pool (see :mod:`repro.core.parallel`)
-    #: and merged back in spec order, so the resulting suite is identical
-    #: to a sequential run.
-    workers: int = 1
     #: Extension: anti-coincidence datasets that kill wrong-attribute
     #: join-condition mutants (repro.mutation.joincond); off by default
     #: to preserve the paper's dataset counts.
@@ -117,24 +96,15 @@ class GenConfig:
     #: solve via :attr:`SearchConfig.solve_deadline_s`.
     spec_deadline_s: float | None = None
     #: Wall-clock budget for the whole :meth:`XDataGenerator.generate`
-    #: call; specs not started (or not finished, in a pooled run) when
-    #: it expires are skipped with reason ``"budget"``.
+    #: call; specs not started when it expires are skipped with reason
+    #: ``"budget"``.  A pooled workload also bounds its wait on workers
+    #: by it (:func:`repro.core.parallel.generate_suites_parallel`).
     suite_deadline_s: float | None = None
-    #: Upper bound on a pooled run's wait for any single worker result;
-    #: a hung worker then degrades the run instead of hanging it.
-    #: ``suite_deadline_s`` implies the same bound; this one applies
-    #: even without a suite deadline.
-    pool_deadline_s: float | None = None
     #: Retry ladder (§5d): after a budget trip on the primary attempt,
     #: how many times to retry it with an escalated node budget
-    #: (``node_limit * retry_node_factor**i``) before dropping to the
-    #: spec's relaxations.
+    #: (:data:`RETRY_NODE_FACTOR`) before dropping to the spec's
+    #: relaxations.
     retries: int = 1
-    retry_node_factor: int = 4
-    #: Final ladder rung: retry the primary build with ``copies=1``
-    #: (best-effort — specs whose builds hard-code the copy count simply
-    #: fail the rung).
-    retry_shrink_copies: bool = True
     #: Abort the suite on the first degraded spec (budget exhaustion or
     #: unexpected error) instead of recording a skip and continuing.
     #: UNSAT specs are never failures (they are equivalence proofs).
@@ -149,25 +119,10 @@ class GenConfig:
     #: Append the JSON-lines run journal to this file: ``run_start``, one
     #: ``span`` event per span close, and ``run_end`` / ``run_abort`` —
     #: flushed per event, so crashed or deadline-killed runs leave a
-    #: complete forensic record.  Pooled *suite-level* fan-out strips the
-    #: path from worker configs (one writer only); the workload layer
-    #: replays worker span trees into the parent's journal instead.
+    #: complete forensic record.  Pooled workloads strip the path from
+    #: worker configs (one writer only); the workload layer replays
+    #: worker span trees into the parent's journal instead.
     journal_path: str | None = None
-    #: Optional :class:`Budgets` overlay applied onto the deadline knobs.
-    budgets: InitVar[Budgets | None] = None
-
-    def __post_init__(self, budgets: Budgets | None) -> None:
-        if budgets is not None:
-            if budgets.solve_deadline_s is not None:
-                self.solver = dataclasses.replace(
-                    self.solver, solve_deadline_s=budgets.solve_deadline_s
-                )
-            if budgets.spec_deadline_s is not None:
-                self.spec_deadline_s = budgets.spec_deadline_s
-            if budgets.suite_deadline_s is not None:
-                self.suite_deadline_s = budgets.suite_deadline_s
-            if budgets.pool_deadline_s is not None:
-                self.pool_deadline_s = budgets.pool_deadline_s
 
     @property
     def observability_on(self) -> bool:
@@ -214,7 +169,7 @@ _SPEC_COUNTERS = {
 
 @dataclass
 class SpecResult:
-    """Outcome of solving one :class:`DatasetSpec` (picklable)."""
+    """Outcome of solving one :class:`DatasetSpec`."""
 
     dataset: GeneratedDataset | None
     skipped: SkippedTarget | None
@@ -222,7 +177,7 @@ class SpecResult:
     stage_times: dict[str, float] = field(default_factory=dict)
     #: Total solve attempts across the retry ladder.
     attempts: int = 1
-    #: -- observability (§5e); all picklable, shipped across the pool ----
+    #: -- observability (§5e) -------------------------------------------
     #: Closed ``attempt`` span records collected while solving (only when
     #: observability is on), grafted under the parent's ``solve`` span.
     spans: list | None = None
@@ -233,10 +188,6 @@ class SpecResult:
     #: Hot-path cache traffic (domain memo, db-constraint and
     #: declaration-snapshot caches) as counter deltas.
     cache_counts: dict = field(default_factory=dict)
-    #: ``time.time()`` stamp when a pool worker picked the spec up (0.0
-    #: for in-process solves); with ``BatchOutcome.submitted_at`` this
-    #: yields the pool queue wait.
-    started_at: float = 0.0
 
 
 @dataclass
@@ -261,8 +212,9 @@ class SuiteHealth:
     errored: int = 0
     #: Datasets that needed more than one solve attempt (ladder fired).
     retried: int = 0
-    #: True when the process-pool fan-out fell back to sequential
-    #: solving (worker crash, timeout, or pool creation failure).
+    #: True when the pooled workload batch that produced the suite fell
+    #: back to in-process generation (worker crash, timeout, or pool
+    #: creation failure).
     pool_degraded: bool = False
     #: Wall-clock seconds by outcome category ("completed", "unsat",
     #: "budget", "error").
@@ -336,8 +288,7 @@ class TestSuite:
     #: Wall-clock per pipeline stage, keyed by :data:`STAGES`:
     #: analyze (parse + analysis + spec derivation), build (constraint
     #: construction), preprocess / search (solver-internal split), and
-    #: assemble (model -> Database).  Stages running in worker processes
-    #: report their in-worker time.
+    #: assemble (model -> Database).
     stage_times: dict[str, float] = field(default_factory=dict)
     #: Failure-semantics summary: what completed, what degraded and why.
     health: SuiteHealth = field(default_factory=SuiteHealth)
@@ -565,96 +516,37 @@ class XDataGenerator:
                 if config.suite_deadline_s is not None
                 else None
             )
-            results: list[SpecResult]
-            pool_degraded = False
-            use_pool = False
-            if config.workers > 1 and len(specs) > 1:
-                from repro.core.parallel import effective_workers
-
-                use_pool = effective_workers(config.workers, len(specs)) > 1
-            if use_pool:
-                from repro.core.parallel import solve_specs_parallel
-
-                pool_deadline = suite_deadline
-                if config.pool_deadline_s is not None:
-                    stamp = time.perf_counter() + config.pool_deadline_s
-                    pool_deadline = (
-                        stamp if pool_deadline is None
-                        else min(pool_deadline, stamp)
-                    )
-                outcome = solve_specs_parallel(
-                    self.schema, sql, config, len(specs),
-                    deadline=pool_deadline,
-                )
-                pool_degraded = outcome.degraded
-                if metrics is not None:
-                    metrics.gauge(
-                        "xdata_pool_workers",
-                        effective_workers(config.workers, len(specs)),
-                    )
-                    metrics.gauge("xdata_pool_degraded", int(outcome.degraded))
-                    resumed = set(outcome.resumed)
-                    for index, result in enumerate(outcome.results):
-                        if (
-                            result is not None
-                            and index not in resumed
-                            and outcome.submitted_at
-                            and result.started_at
-                        ):
-                            metrics.observe(
-                                "xdata_pool_queue_wait_seconds",
-                                max(
-                                    0.0,
-                                    result.started_at - outcome.submitted_at,
-                                ),
-                            )
-                results = [
-                    result
-                    if result is not None
-                    else SpecResult(
-                        None,
-                        SkippedTarget(
-                            spec.group, spec.target, "budget",
-                            detail="suite budget exhausted before the spec "
-                            "was solved",
-                        ),
-                        0.0,
-                        attempts=0,
-                    )
-                    for spec, result in zip(specs, outcome.results)
-                ]
-            else:
-                caches = self._request_caches(parsed)
-                results = []
-                for index, spec in enumerate(specs):
-                    if (
-                        suite_deadline is not None
-                        and time.perf_counter() > suite_deadline
-                    ):
-                        results.append(
-                            SpecResult(
-                                None,
-                                SkippedTarget(
-                                    spec.group, spec.target, "budget",
-                                    detail="suite deadline exceeded",
-                                ),
-                                0.0,
-                                attempts=0,
-                            )
-                        )
-                        continue
+            caches = self._request_caches(parsed)
+            results: list[SpecResult] = []
+            for index, spec in enumerate(specs):
+                if (
+                    suite_deadline is not None
+                    and time.perf_counter() > suite_deadline
+                ):
                     results.append(
-                        self._run_spec(
-                            aq, spec, caches, spec_index=index,
-                            suite_deadline=suite_deadline,
+                        SpecResult(
+                            None,
+                            SkippedTarget(
+                                spec.group, spec.target, "budget",
+                                detail="suite deadline exceeded",
+                            ),
+                            0.0,
+                            attempts=0,
                         )
                     )
+                    continue
+                results.append(
+                    self._run_spec(
+                        aq, spec, caches, spec_index=index,
+                        suite_deadline=suite_deadline,
+                    )
+                )
 
             datasets: list[GeneratedDataset] = []
             solve_time = 0.0
             stage_times = {name: 0.0 for name in STAGES}
             stage_times["analyze"] = analyze_time
-            health = SuiteHealth(pool_degraded=pool_degraded)
+            health = SuiteHealth()
             health.skipped_equivalent = len(skipped)
             if metrics is not None and skipped:
                 # Structural equivalence proofs never reach the solver;
@@ -707,7 +599,7 @@ class XDataGenerator:
                         health.skipped_equivalent += 1
                         category = "equivalent"
                     # A budget skip that never got an attempt means the
-                    # suite/pool deadline killed the spec outright.
+                    # suite deadline killed the spec outright.
                     status = (
                         "killed-by-deadline"
                         if category == "budget" and result.attempts == 0
@@ -785,8 +677,7 @@ class XDataGenerator:
         return suite
 
     def _request_caches(self, parsed: Query) -> dict:
-        """Per-run caches of one request, for :meth:`_run_spec`; the
-        sequential path and every pool worker build them here.  Their
+        """Per-run caches of one request, for :meth:`_run_spec`.  Their
         ``"scope"`` (:func:`~repro.service.fingerprint.exact_scope`)
         keys the process skeleton and declaration memos."""
         from repro.service.fingerprint import exact_scope
@@ -799,9 +690,10 @@ class XDataGenerator:
     ) -> tuple[list[DatasetSpec], list[SkippedTarget]]:
         """Enumerate every dataset spec for ``aq``, in canonical order.
 
-        The order is deterministic for a given (query, schema, config):
-        worker processes rely on this to re-derive a spec from its index
-        alone (specs hold closures, which do not pickle).
+        The order is deterministic for a given (query, schema, config),
+        so a pooled run's suites equal in-process ones and a spec index
+        names the same spec in every process (fault injection keys on
+        it).
         """
         specs: list[DatasetSpec] = [_original_spec(aq)]
         skipped: list[SkippedTarget] = []
@@ -1050,9 +942,8 @@ class XDataGenerator:
         first_error: tuple[str, str] | None = None
         inject = spec_index is not None and _fault_hooks_enabled()
         # Observability (§5e): attempt spans are collected on a local
-        # tracer — this method also runs inside pool workers, so the
-        # records travel back with the (picklable) SpecResult and the
-        # parent grafts them under its own solve span.
+        # tracer; the records travel with the SpecResult and
+        # ``_generate`` grafts them under the spec's solve span.
         local = Tracer() if config.observability_on else NULL_TRACER
         nodes_total = 0
         limit_hits = 0
@@ -1268,7 +1159,7 @@ class XDataGenerator:
         if result == "budget":
             for step in range(1, config.retries + 1):
                 result = attempt(
-                    spec, spec.build, None, config.retry_node_factor ** step
+                    spec, spec.build, None, RETRY_NODE_FACTOR ** step
                 )
                 if result != "budget":
                     break
@@ -1282,7 +1173,6 @@ class XDataGenerator:
         # a clean UNSAT is an equivalence proof and must stand.
         if (
             not isinstance(result, SpecResult)
-            and config.retry_shrink_copies
             and spec.copies > 1
             and (budget_trips or first_error is not None)
         ):

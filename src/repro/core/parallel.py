@@ -1,66 +1,47 @@
-"""Process-pool fan-out for dataset generation.
+"""Process-pool fan-out for dataset generation, one query per task.
 
-Every :class:`~repro.core.spec.DatasetSpec` is an independent constraint
-problem (Algorithm 1 emits one per mutation-killing target), so the spec
-solves parallelise trivially — except that specs hold ``build`` closures,
-which do not pickle.  The protocol here sidesteps that:
-
-* the parent ships only ``(schema, sql, config)`` to the workers;
-* a worker re-parses and re-analyzes the query, re-derives the *same*
-  spec list (``XDataGenerator._derive_specs`` is deterministic for a
-  given query, schema and config) and solves the spec at its assigned
-  index;
-* results come back as picklable :class:`~repro.core.generator.SpecResult`
-  objects and are merged in spec order, so a parallel run produces a
-  suite identical to a sequential one.
-
-Workers memoize the derived state per process (keyed by a per-dispatch
-token), so re-derivation costs one analysis per process, not one per
-spec; the per-run database-constraint cache likewise warms up across
-the specs a worker handles.  The derived state includes the request's
-caches from ``XDataGenerator._request_caches``, as on the sequential
-path, so a worker finds compiled query skeletons and declaration
-snapshots (DESIGN.md §5j) in its own process memos under the same exact
-scope.  Skeletons hold cyclic formula memos and are *never* pickled:
-each worker compiles, or finds in its memo (forked from the parent's),
-the skeletons for the specs it is assigned.
-
-:func:`generate_suites_parallel` applies the same idea one level up for
-multi-query workloads: one task per query, each worker running the full
-sequential pipeline for its queries.
+Queries are independent generation problems, and a query is the unit
+worth parallelising: the paper emits a handful of datasets per query
+(linear in its size), while a grading run submits many queries.  So
+:func:`generate_suites_parallel` hands each worker whole queries; a
+worker runs the ordinary sequential ``XDataGenerator.generate`` for
+each, and results come back in query order, byte-identical to an
+in-process run.  (Fanning the datasets of *one* query out across the
+pool was measured slower than solving them in-process on every query
+but the heaviest, DESIGN.md §5c, and is not offered.)
 
 One process pool, one lifecycle.  :class:`SupervisedPool` is the only
 owner of an executor; the campaign driver holds its own, and every
 generation batch goes through :func:`_run_batch`, which shares one
 module-level instance.  That pool is created lazily and kept alive for
 the life of the parent process: pool start-up (fork + pipe setup) costs
-tens of milliseconds, comparable to a whole solve for small queries, so
-paying it once per process instead of once per ``generate()`` call is
-what makes spec-level parallelism profitable for workload-sized
-batches.  A batch that needs more workers than the pool has kills it
+tens of milliseconds, so it is paid once per process instead of once
+per batch.  A batch that needs more workers than the pool has kills it
 and starts a bigger one; :func:`shutdown_pool` closes it.
 
 Failure isolation (DESIGN.md §5d).  Each item is submitted as its own
 future, so one poisoned task cannot take a whole batch down with it:
 
 * task-level exceptions are captured *inside* the worker into picklable
-  results (an error :class:`SkippedTarget` for specs, a
-  :class:`FailedSuite` for whole queries) unless ``config.fail_fast``;
+  :class:`FailedSuite` results unless ``config.fail_fast``;
 * a worker crash (or pool-creation failure) breaks only the futures
   without results; the batch emits a
   :class:`~repro.errors.PoolDegradedWarning`, kills the pool, marks
-  itself degraded and resumes **only the unfinished indices**
+  itself degraded and resumes **only the unfinished items**
   sequentially in the parent — completed results are never re-solved;
 * an optional deadline bounds every wait, so a hung worker degrades the
   run instead of hanging it: the batch kills the pool (the hung worker
-  is SIGKILLed, not left running), and specs still unfinished when the
-  deadline passes come back as ``None`` for the caller to budget-skip;
+  is SIGKILLed, not left running), and items still unfinished when the
+  deadline passes come back as ``None``;
 * concurrent batches (service threads) share the pool, so one batch's
   kill (or growth) breaks or cancels another's futures; that batch
   resumes its unfinished items sequentially, exactly as after a crash;
 * anything else escaping a pooled batch (``KeyboardInterrupt``, a
   fail-fast error) kills the pool before it propagates: workers ignore
-  SIGINT, and a live one would hold up interpreter exit.
+  SIGINT, and a live one would hold up interpreter exit;
+* a worker whose owner dies without cleaning up (``kill -9``) notices
+  its new parent pid and exits, instead of blocking on the dead
+  owner's call queue for good.
 
 Degradation is loud but lossless — parallelism is a throughput lever,
 never a correctness requirement.
@@ -71,6 +52,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
+import math
 import os
 import signal
 import threading
@@ -79,7 +61,7 @@ import warnings
 from concurrent.futures import CancelledError, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as _FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import PoolDegradedWarning
 from repro.memo import Memo
@@ -103,13 +85,16 @@ def effective_workers(
         limit = min(limit, os.cpu_count() or 1)
     return max(1, limit)
 
-#: Parent-side dispatch tokens; workers key their memoized state on the
-#: token so successive dispatches (different schemas, configs, queries)
+#: Parent-side dispatch tokens; workers key their generator on the
+#: token so successive dispatches (different schemas or configs)
 #: through the same long-lived pool never mix state.
 _TOKENS = itertools.count(1)
 
-#: Per-worker-process memo: token -> {"payload": ..., "derived": {...}}.
-_WORKER_STATE = Memo(8)
+#: Per-worker-process memo: token -> the batch's ``XDataGenerator``.
+_WORKER_GENERATORS = Memo(8)
+
+#: Seconds between a pool worker's checks that its owner still lives.
+_PARENT_POLL_S = 0.5
 
 
 class SupervisedPool:
@@ -232,9 +217,22 @@ def _supervised_worker_signals() -> None:
     Ctrl-C drains the round in the driver instead of killing its workers.
     A generation batch interrupted by Ctrl-C kills the pool itself
     (:func:`_run_batch`).
+
+    An owner killed outright (``SIGKILL``) runs none of that cleanup, so
+    each worker also watches its parent pid and exits once it changes
+    (the orphan was reparented).
     """
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    threading.Thread(
+        target=_exit_when_orphaned, args=(os.getppid(),), daemon=True
+    ).start()
+
+
+def _exit_when_orphaned(owner: int) -> None:
+    while os.getppid() == owner:
+        time.sleep(_PARENT_POLL_S)
+    os._exit(1)
 
 
 def _warn_degraded(detail: str) -> None:
@@ -245,31 +243,17 @@ def _warn_degraded(detail: str) -> None:
     )
 
 
-def _worker_state(token: int, payload: tuple) -> dict:
-    state = _WORKER_STATE.get(token)
-    if state is None:
-        state = {"payload": payload, "derived": {}}
-        _WORKER_STATE.put(token, state)
-    return state
+def _worker_config(config):
+    """The config a worker runs with: same semantics, one journal writer.
 
-
-def _sequential_config(config, strip_journal: bool = False):
-    """The config a worker runs with: same semantics, no nested pools.
-
-    ``strip_journal`` is set by the *suite-level* entry points, whose
-    workers run whole ``generate()`` calls: concurrent appends to one
-    journal file would interleave runs, so the path is removed and
-    tracing forced on instead — the parent (see
+    Concurrent appends to one journal file would interleave runs, so the
+    path is removed and tracing forced on instead; the parent (see
     ``repro.testing.workload``) replays the shipped span trees into its
-    own journal.  Spec-level fan-out keeps the path: workers never open
-    it (``_run_spec`` only collects spans), it merely flags
-    observability as on.
+    own journal.
     """
-    changes: dict = {"workers": 1}
-    if strip_journal and getattr(config, "journal_path", None) is not None:
-        changes["journal_path"] = None
-        changes["trace"] = True
-    return dataclasses.replace(config, **changes)
+    if config.journal_path is None:
+        return config
+    return dataclasses.replace(config, journal_path=None, trace=True)
 
 
 @dataclass
@@ -277,28 +261,21 @@ class BatchOutcome:
     """One batched dispatch: per-item results plus degradation telemetry.
 
     ``results[i]`` is ``None`` only when the batch deadline expired
-    before item ``i`` was solved anywhere.  ``resumed`` lists the
-    indices re-run sequentially in the parent after a pool failure —
-    by construction disjoint from the indices whose pooled results
-    arrived, which are never re-solved.
+    before item ``i`` was finished anywhere.
     """
 
     results: list
     degraded: bool = False
-    resumed: list[int] = field(default_factory=list)
-    #: ``time.time()`` stamp taken when the batch's futures were
-    #: submitted (0.0 for in-process batches); against each result's
-    #: ``started_at`` it yields the pool queue wait (§5e metrics).
-    submitted_at: float = 0.0
 
 
 @dataclass
 class FailedSuite:
-    """Picklable per-query failure marker (suite-level fan-out).
+    """Picklable per-query failure marker.
 
     Returned in place of a :class:`TestSuite` when a worker's
-    ``generate()`` raised and ``config.fail_fast`` was off; the workload
-    layer turns it into a per-query error entry.
+    ``generate()`` raised and ``config.fail_fast`` was off, or when the
+    batch deadline passed first; the workload layer turns it into a
+    per-query error entry.
     """
 
     sql: str
@@ -310,76 +287,13 @@ class FailedSuite:
         return f"{self.error_type}: {self.message}"
 
 
-def _derived_spec_state(state: dict):
-    """(generator, analyzed query, specs, request caches), memoized per
-    token."""
-    derived = state["derived"]
-    cached = derived.get("specs")
-    if cached is None:
-        from repro.core.analyze import analyze_query
-        from repro.core.generator import XDataGenerator
-        from repro.sql.parser import parse_query
-
-        schema, config, sql = state["payload"]
-        generator = XDataGenerator(schema, config)
-        parsed = parse_query(sql)
-        if parsed.has_subquery_predicates:
-            from repro.core.decorrelate import decorrelate
-
-            parsed = decorrelate(parsed, schema)
-        aq = analyze_query(parsed, schema)
-        specs, _skipped = generator._derive_specs(aq)
-        cached = (generator, aq, specs, generator._request_caches(parsed))
-        derived["specs"] = cached
-    return cached
-
-
-def _solve_spec_task(token: int, payload: tuple, spec_index: int):
-    """Worker-side spec solve; never lets an exception poison the batch.
-
-    ``_run_spec`` already isolates solve-time failures; this guard
-    covers everything outside it (re-parse, re-analysis, spec
-    derivation), which would otherwise surface as a future exception
-    and be indistinguishable from a pool failure.
-    """
-    from repro.core.generator import SpecResult
-    from repro.core.spec import SkippedTarget
-
-    started = time.time()
-    state = _worker_state(token, payload)
-    try:
-        generator, aq, specs, caches = _derived_spec_state(state)
-        result = generator._run_spec(
-            aq, specs[spec_index], caches, spec_index=spec_index
-        )
-        result.started_at = started
-        return result
-    except Exception as exc:
-        if state["payload"][1].fail_fast:
-            raise
-        return SpecResult(
-            None,
-            SkippedTarget(
-                "pipeline",
-                f"spec[{spec_index}]",
-                f"error:{type(exc).__name__}",
-                detail=str(exc),
-            ),
-            0.0,
-            attempts=0,
-            started_at=started,
-        )
-
-
 def _generate_suite_task(token: int, payload: tuple, sql: str):
-    state = _worker_state(token, payload)
-    generator = state["derived"].get("generator")
+    generator = _WORKER_GENERATORS.get(token)
     if generator is None:
         from repro.core.generator import XDataGenerator
 
-        schema, config = state["payload"]
-        generator = XDataGenerator(schema, config)
-        state["derived"]["generator"] = generator
+        generator = XDataGenerator(*payload)
+        _WORKER_GENERATORS.put(token, generator)
     try:
         return generator.generate(sql)
     except Exception as exc:
@@ -395,21 +309,15 @@ def _run_batch(
 
     Each item is its own future: a crash or timeout loses only the
     unfinished items, which are resumed sequentially in the parent
-    (unless the deadline has passed — those stay ``None``).
+    (unless the deadline has passed — those stay ``None``).  A pool
+    size of one runs every item in-process, with no deadline.
     """
-    count = len(args)
-    outcome = BatchOutcome(results=[None] * count)
+    if pool_size <= 1:
+        return BatchOutcome(results=[task(arg) for arg in args])
+    outcome = BatchOutcome(results=[None] * len(args))
 
     def expired() -> bool:
         return deadline is not None and time.perf_counter() > deadline
-
-    if pool_size <= 1:
-        for index, arg in enumerate(args):
-            if expired():
-                outcome.degraded = True
-                break
-            outcome.results[index] = task(arg)
-        return outcome
 
     pool = None
     generation = 0
@@ -420,7 +328,6 @@ def _run_batch(
             with _BATCH_LOCK:
                 pool = _batch_pool(pool_size)
                 generation = pool.kills
-                outcome.submitted_at = time.time()
                 futures = [pool.submit(task, arg) for arg in args]
         except (OSError, BrokenProcessPool) as exc:
             _warn_degraded(f"could not dispatch to the pool ({exc!r})")
@@ -464,31 +371,7 @@ def _run_batch(
             if outcome.results[index] is not None or expired():
                 continue
             outcome.results[index] = task(arg)
-            outcome.resumed.append(index)
     return outcome
-
-
-def solve_specs_parallel(
-    schema: Schema,
-    sql: str,
-    config,
-    count: int,
-    cap_to_cpus: bool = True,
-    deadline: float | None = None,
-) -> BatchOutcome:
-    """Solve the ``count`` specs of ``sql`` across the shared process pool.
-
-    Returns a :class:`BatchOutcome` whose ``results`` hold one
-    :class:`SpecResult` per spec, in spec order (``None`` for specs the
-    ``deadline`` — an absolute ``time.perf_counter()`` stamp — cut off).
-    Falls back to an in-process sequential run when the effective pool
-    size is one or no pool can be created.
-    """
-    workers = effective_workers(config.workers, count, cap_to_cpus)
-    payload = (schema, _sequential_config(config), sql)
-    token = next(_TOKENS)
-    task = functools.partial(_solve_spec_task, token, payload)
-    return _run_batch(task, list(range(count)), workers, deadline)
 
 
 def generate_suites_parallel(
@@ -504,16 +387,31 @@ def generate_suites_parallel(
     ``config.fail_fast`` it raises).  Falls back — loudly, see
     :class:`PoolDegradedWarning` — to an in-process sequential run when
     the pool breaks, resuming only the queries without results.
+
+    With ``config.suite_deadline_s`` set, a pooled batch waits at most
+    that budget times the rounds the pool needs (queries ÷ pool width,
+    rounded up), counted from submission: a hung worker is then killed,
+    and each query without a result maps to a :class:`FailedSuite`
+    naming the deadline.
     """
     names = list(queries)
     sqls = [queries[name] for name in names]
     pool_size = effective_workers(workers, len(sqls), cap_to_cpus)
-    payload = (schema, _sequential_config(config, strip_journal=True))
+    payload = (schema, _worker_config(config))
     token = next(_TOKENS)
     task = functools.partial(_generate_suite_task, token, payload)
-    outcome = _run_batch(task, sqls, pool_size)
-    if outcome.degraded:
-        for suite in outcome.results:
-            if suite is not None and not isinstance(suite, FailedSuite):
-                suite.health.pool_degraded = True
-    return dict(zip(names, outcome.results))
+    deadline = budget = None
+    if pool_size > 1 and config.suite_deadline_s is not None:
+        budget = config.suite_deadline_s * math.ceil(len(sqls) / pool_size)
+        deadline = time.perf_counter() + budget
+    outcome = _run_batch(task, sqls, pool_size, deadline)
+    results = outcome.results
+    for index, suite in enumerate(results):
+        if suite is None:
+            results[index] = FailedSuite(
+                sqls[index], "DeadlineExceeded",
+                f"no result within the batch deadline of {budget:g} s",
+            )
+        elif outcome.degraded and not isinstance(suite, FailedSuite):
+            suite.health.pool_degraded = True
+    return dict(zip(names, results))

@@ -28,9 +28,8 @@ anything that changes generator output must change the fingerprint.
 Schemas canonicalize to a sorted-tables rendering (column order
 preserved — it is load-bearing for ``SELECT *`` and CSV round-trips) and
 configs to a stable field rendering that **excludes** the knobs
-documented to never change generated bytes: ``workers`` (pooled runs are
-byte-identical to sequential) and the observability switches ``trace``,
-``metrics``, ``journal_path``.  :func:`exact_scope` is the other
+documented to never change generated bytes: the observability switches
+``trace``, ``metrics``, ``journal_path``.  :func:`exact_scope` is the other
 content address: the same digest over the *exact* rendered SQL.
 """
 
@@ -73,14 +72,14 @@ __all__ = [
 
 #: Version tag mixed into every digest; bump on any canonicalization
 #: change so stale persisted cache entries can never be confused with
-#: fresh ones.  v3: ``SearchConfig`` lost its delta-solve switch, so
-#: every rendered config (and with it every digest) changed.
-_VERSION = "xdata-fp-v3"
+#: fresh ones.  v3: ``SearchConfig`` lost its delta-solve switch.  v4:
+#: ``GenConfig`` lost its pool deadline and its two retry-ladder knobs.
+#: Each changed every rendered config, and with it every digest.
+_VERSION = "xdata-fp-v4"
 
-#: GenConfig fields excluded from the fingerprint: each is documented to
-#: leave generated suites byte-identical (observability attaches
-#: artefacts, never changes datasets; pooled runs merge in spec order).
-_CONFIG_EXCLUDED = frozenset({"trace", "metrics", "journal_path", "workers"})
+#: GenConfig fields excluded from the fingerprint: observability
+#: attaches artefacts and never changes datasets.
+_CONFIG_EXCLUDED = frozenset({"trace", "metrics", "journal_path"})
 
 
 class _Renamer:

@@ -3,12 +3,10 @@
 The queue is the service's execution core, independent of HTTP: jobs
 carry ``(schema, query, mode)`` requests, and worker threads answer each
 from the content-addressed :class:`~repro.service.cache.SuiteCache` or,
-on a miss, run one :class:`~repro.core.generator.XDataGenerator` solve
-of the canonical SQL (its :class:`~repro.core.generator.GenConfig`
-routes spec solves into the shared ``core/parallel`` process pool when
-``workers > 1``).  The cache of canonical payload bytes is the only
-place the queue keeps a result: a finished job holds its payload bytes
-and nothing of the solve.
+on a miss, run one :class:`~repro.core.generator.XDataGenerator` solve of
+the canonical SQL in the worker thread itself.  The cache of canonical
+payload bytes is the only place the queue keeps a result: a finished job
+holds its payload bytes and nothing of the solve.
 
 Duplicate submissions are **single-flighted**: the first job owning a
 fingerprint solves it, concurrent duplicates block on its completion and
@@ -36,7 +34,7 @@ import time
 from dataclasses import dataclass, field
 
 from repro.api import EvalOptions, Run, _evaluate_run
-from repro.core.generator import Budgets, GenConfig, XDataGenerator
+from repro.core.generator import GenConfig, XDataGenerator
 from repro.engine.export import to_csv_map, to_insert_script
 from repro.memo import memo_counters
 from repro.obs.metrics import Metrics
@@ -498,8 +496,7 @@ class JobQueue:
         """The job's config with the remaining wall clock as suite budget."""
         existing = config.suite_deadline_s
         budget = remaining_s if existing is None else min(existing, remaining_s)
-        changes: dict = {"budgets": Budgets(suite_deadline_s=budget)}
-        return dataclasses.replace(config, **changes)
+        return dataclasses.replace(config, suite_deadline_s=budget)
 
     # ------------------------------------------------------------------
     # bookkeeping

@@ -35,8 +35,8 @@ per retry-ladder attempt):
 ``XDATA_FAULTS_LOG`` — a file path; every solve attempt appends a
 ``<pid>:<role>:<spec_index>`` line (role ``w`` in a pool worker, ``p``
 in the parent), so tests can assert *where* each spec was solved — e.g.
-that a pool break did not re-solve specs whose results had already come
-back.  The log is written whenever the variable is set, even with no
+that a pool break did not re-generate queries whose results had already
+come back.  The log is written whenever the variable is set, even with no
 faults configured.
 """
 

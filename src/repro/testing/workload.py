@@ -100,9 +100,8 @@ def _replay_run(journal, sql: str, suite) -> None:
     from repro.obs.trace import span_path_events
 
     journal.run_start(sql)
-    if isinstance(suite, FailedSuite) or suite is None:
-        error = suite.error if suite is not None else "no result from pool"
-        journal.event("run_abort", ts=time.time(), error=error)
+    if isinstance(suite, FailedSuite):
+        journal.event("run_abort", ts=time.time(), error=suite.error)
         return
     for root in suite.trace or ():
         for record, path in span_path_events(root):
@@ -120,7 +119,7 @@ def generate_workload(
     queries: dict[str, str],
     config: GenConfig | None = None,
     minimize: bool = True,
-    workers: int | None = None,
+    workers: int = 1,
     fail_fast: bool = False,
     backend=None,
     cross_check: bool = False,
@@ -136,10 +135,12 @@ def generate_workload(
             the whole workload (each query's original-result dataset is
             always kept).
         workers: Process-pool width for generation, parallel across
-            queries (each query is an independent generation problem).
-            Defaults to ``config.workers``; 1 means sequential.  The
-            combined suite is identical either way — results are merged
-            in query order.
+            queries (each query is an independent generation problem);
+            1, the default, means sequential.  The combined suite is
+            identical either way — results are merged in query order.
+            With ``config.suite_deadline_s`` set, a query the pool did
+            not finish in time becomes a failed entry (see
+            :func:`repro.core.parallel.generate_suites_parallel`).
         fail_fast: Re-raise the first per-query generation failure
             instead of recording it as a failed entry and continuing
             with the remaining queries (the default; see
@@ -168,8 +169,6 @@ def generate_workload(
     if fail_fast and not config.fail_fast:
         config = dataclasses.replace(config, fail_fast=True)
     fail_fast = fail_fast or config.fail_fast
-    if workers is None:
-        workers = config.workers
 
     def failed_entry(name: str, sql: str, error: str) -> WorkloadEntry:
         return WorkloadEntry(name, sql, None, None, error=error)

@@ -138,6 +138,32 @@ def test_workload_command(tmp_path, capsys):
     assert list(out_dir.iterdir())
 
 
+def test_workload_workers_match_sequential(tmp_path, capsys):
+    source = tmp_path / "queries.sql"
+    source.write_text(
+        "-- name: teaching\n"
+        "SELECT i.name FROM instructor i, teaches t WHERE i.id = t.id;\n"
+        "-- name: credits\n"
+        "SELECT c.title FROM course c WHERE c.credits > 3;\n"
+    )
+    outputs = []
+    for workers in ("1", "2"):
+        assert main(
+            ["workload", "--university", "--workers", workers, str(source)]
+        ) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("command", ["generate", "mutants", "evaluate"])
+def test_only_workload_takes_workers(command, capsys):
+    """Fan-out is per query, so single-query commands have no --workers."""
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--university", "--workers", "2", "SELECT * FROM instructor"])
+    assert excinfo.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+
+
 def test_workload_file_parser():
     from repro.cli import parse_workload_file
 

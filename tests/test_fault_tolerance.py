@@ -2,9 +2,9 @@
 
 The generation pipeline promises (DESIGN.md §5d) that a suite always
 completes: a pathological solve degrades to a ``budget`` skip, an
-unexpected exception to an ``error:<Type>`` skip, a crashed worker to a
-sequential resume of only the unfinished specs — and every degradation
-is named in the suite's health summary.  These tests force each failure
+unexpected exception to an ``error:<Type>`` skip, a crashed pool worker
+to a sequential resume of only the unfinished queries — and every
+degradation is named in the suite's health summary.  These tests force each failure
 mode deterministically via :mod:`repro.testing.faults` (env-driven so
 faults reach forked pool workers) and assert both the degradation *and*
 that every non-degraded dataset is byte-identical to an uninjected run.
@@ -22,7 +22,11 @@ import time
 import pytest
 
 from repro.core.generator import GenConfig, XDataGenerator
-from repro.core.parallel import shutdown_pool, solve_specs_parallel
+from repro.core.parallel import (
+    FailedSuite,
+    generate_suites_parallel,
+    shutdown_pool,
+)
 from repro.errors import GenerationError, PoolDegradedWarning, SolverLimitError
 from repro.schema.catalog import Column, Schema, Table
 from repro.schema.types import SqlType
@@ -36,6 +40,10 @@ from repro.testing import faults
 #: uninjected run has no skips to confound the assertions.
 SQL = "SELECT v FROM t WHERE v > 5"
 SPEC_COUNT = 4
+
+#: Derives one spec (the original dataset), so faults keyed on spec
+#: indices 1 and up never fire in it: it runs untouched beside ``SQL``.
+SMALL_SQL = "SELECT t.id FROM t"
 
 
 def _schema():
@@ -108,33 +116,44 @@ def _wait_until_gone(pids, seconds: float) -> set[int]:
         time.sleep(0.05)
 
 
-def _spec_view(result):
-    """A spec result as observable bytes: dataset or skip reason."""
-    if result.dataset is not None:
-        return result.dataset.db.pretty(only_nonempty=False)
-    return (result.skipped.target, result.skipped.reason)
+def _suite_view(suite):
+    """A pooled result as observable bytes: datasets and skips, or the
+    failure."""
+    if isinstance(suite, FailedSuite):
+        return ("failed", suite.error_type)
+    return (
+        _by_target(suite),
+        [(s.target, s.reason) for s in suite.skipped],
+    )
 
 
-def _in_process_views() -> list:
-    """Every spec of ``SQL`` solved in-process, as :func:`_spec_view`s."""
-    outcome = solve_specs_parallel(_schema(), SQL, GenConfig(), SPEC_COUNT)
-    return [_spec_view(result) for result in outcome.results]
+def _pooled(queries: dict, config=None, workers: int = 2) -> dict:
+    """``queries`` generated on ``workers`` real worker processes."""
+    return generate_suites_parallel(
+        _schema(), queries, config or GenConfig(), workers,
+        cap_to_cpus=False,
+    )
 
 
-def _batch_thread(outcomes: dict, key, workers: int, deadline_s=None):
-    """A thread running one pooled batch of ``SQL`` (``deadline_s`` after
-    it starts, if given); its outcome, or what it raised, lands in
-    ``outcomes[key]``."""
+def _in_process_views(queries: dict) -> dict:
+    """Every query generated in-process, as :func:`_suite_view`s."""
+    generator = XDataGenerator(_schema(), GenConfig())
+    return {
+        name: _suite_view(generator.generate(sql))
+        for name, sql in queries.items()
+    }
+
+
+def _batch_thread(outcomes: dict, key, queries: dict, workers: int,
+                  deadline_s=None):
+    """A thread running one pooled batch of ``queries`` (with suite
+    deadline ``deadline_s``, if given); its results, or what it raised,
+    land in ``outcomes[key]``."""
 
     def run() -> None:
-        deadline = (
-            None if deadline_s is None
-            else time.perf_counter() + deadline_s
-        )
         try:
-            outcomes[key] = solve_specs_parallel(
-                _schema(), SQL, GenConfig(workers=workers), SPEC_COUNT,
-                cap_to_cpus=False, deadline=deadline,
+            outcomes[key] = _pooled(
+                queries, GenConfig(suite_deadline_s=deadline_s), workers
             )
         except BaseException as exc:  # the test asserts on it
             outcomes[key] = exc
@@ -219,15 +238,15 @@ class TestBudgetSkips:
 
     def test_injected_limit_parallel(self, monkeypatch, baseline):
         _fresh_pool_env(monkeypatch, "1:limit")
-        suite = XDataGenerator(
-            _schema(), GenConfig(workers=4, retries=1)
-        ).generate(SQL)
-        assert len(suite.datasets) == SPEC_COUNT - 1
-        assert suite.health.skipped_budget == 1
-        assert suite.skipped[0].reason == "budget"
+        pooled = _pooled({"a": SQL, "b": SQL}, GenConfig(retries=1))
         baseline_dbs = _by_target(baseline)
-        for target, pretty in _by_target(suite).items():
-            assert pretty == baseline_dbs[target]
+        for suite in pooled.values():
+            assert len(suite.datasets) == SPEC_COUNT - 1
+            assert suite.health.skipped_budget == 1
+            assert suite.skipped[0].reason == "budget"
+            assert not suite.health.pool_degraded
+            for target, pretty in _by_target(suite).items():
+                assert pretty == baseline_dbs[target]
 
     def test_spec_deadline_zero_budgets_every_spec(self):
         suite = XDataGenerator(
@@ -320,85 +339,97 @@ class TestAcceptance:
         suite = XDataGenerator(_schema(), GenConfig(retries=1)).generate(SQL)
         self._check(suite, baseline)
 
-    def test_parallel(self, monkeypatch, baseline, recwarn):
+    def test_parallel(self, monkeypatch, baseline):
+        # Both queries crash their workers; the parent resumes them, and
+        # there the crash degrades to the same error skip.
         _fresh_pool_env(monkeypatch, self.PLAN)
-        suite = XDataGenerator(
-            _schema(), GenConfig(workers=4, retries=1)
-        ).generate(SQL)
-        self._check(suite, baseline)
-        # A crash only reaches a worker when the pool actually ran
-        # (CPU-capped machines fall back to the in-process path, where
-        # the crash degrades to the same error skip without a warning).
-        if suite.health.pool_degraded:
-            assert any(
-                issubclass(w.category, PoolDegradedWarning) for w in recwarn
-            )
+        with pytest.warns(PoolDegradedWarning):
+            pooled = _pooled({"a": SQL, "b": SQL}, GenConfig(retries=1))
+        for suite in pooled.values():
+            self._check(suite, baseline)
+            assert suite.health.pool_degraded
 
 
 class TestPoolIsolation:
     def test_worker_crash_resumes_only_unfinished(self, monkeypatch, tmp_path):
-        """A mid-batch crash breaks the pool loudly; specs whose results
-        already arrived are not re-solved in the parent."""
+        """A mid-batch crash breaks the pool loudly; queries whose
+        results already arrived are not re-generated in the parent."""
         log = tmp_path / "faults.log"
-        _fresh_pool_env(monkeypatch, "2:crash", log=log)
-        config = GenConfig(workers=4)
+        queries = {"crash": SQL, "small": SMALL_SQL}
+        expected = _in_process_views(queries)
+        # The sleep lets the one-spec query finish before the crash.
+        _fresh_pool_env(monkeypatch, "1:sleep:1,2:crash", log=log)
         with pytest.warns(PoolDegradedWarning):
-            outcome = solve_specs_parallel(
-                _schema(), SQL, config, SPEC_COUNT, cap_to_cpus=False
-            )
-        assert outcome.degraded
-        assert 2 in outcome.resumed
-        assert all(result is not None for result in outcome.results)
-        assert outcome.results[2].skipped is not None
-        assert outcome.results[2].skipped.reason == "error:RuntimeError"
-        for index in range(SPEC_COUNT):
-            if index in outcome.resumed:
-                continue
-            assert outcome.results[index].dataset is not None
-        # The log names the process for every solve attempt: parent-side
-        # ('p') attempts must be exactly the resumed specs.
-        parent_specs = set()
-        for line in log.read_text().splitlines():
-            _pid, role, index = line.split(":")
-            if role == "p":
-                parent_specs.add(int(index))
-        assert parent_specs == set(outcome.resumed)
+            pooled = _pooled(queries)
+        crashed, small = pooled["crash"], pooled["small"]
+        assert crashed.health.pool_degraded and small.health.pool_degraded
+        assert [s.reason for s in crashed.skipped] == ["error:RuntimeError"]
+        baseline_dbs = expected["crash"][0]
+        for target, pretty in _by_target(crashed).items():
+            assert pretty == baseline_dbs[target]
+        assert _suite_view(small) == expected["small"]
+        # The log names the process of every solve attempt.  Spec 0
+        # belongs to both queries: solved once by a worker for each,
+        # and once more in the parent, for the resumed query only.
+        roles = [
+            line.split(":")[1]
+            for line in log.read_text().splitlines()
+            if line.endswith(":0")
+        ]
+        assert sorted(roles) == ["p", "w", "w"]
 
     def test_hung_worker_times_out(self, monkeypatch, tmp_path):
-        """A batch deadline bounds the wait on a hung worker; the hung
-        spec comes back unfinished (None) instead of hanging the run,
-        and the hung worker is killed rather than left sleeping."""
+        """The suite deadline bounds the wait on a hung worker; the hung
+        query comes back as a failure naming the deadline instead of
+        hanging the run, and the hung worker is killed rather than left
+        sleeping."""
         log = tmp_path / "faults.log"
+        queries = {"hung": SQL, "small": SMALL_SQL}
+        expected = _in_process_views(queries)
         _fresh_pool_env(monkeypatch, "1:sleep:5", log=log)
-        config = GenConfig(workers=4)
-        deadline = time.perf_counter() + 1.5
+        started = time.monotonic()
         with pytest.warns(PoolDegradedWarning):
-            outcome = solve_specs_parallel(
-                _schema(), SQL, config, SPEC_COUNT, cap_to_cpus=False,
-                deadline=deadline,
-            )
-        assert outcome.degraded
-        # The sleeping spec outlives the deadline everywhere: its pool
-        # future times out and the sequential resume is deadline-gated,
-        # so it stays None — the caller budget-skips it.
-        assert outcome.results[1] is None
-        assert outcome.results[0] is not None
+            pooled = _pooled(queries, GenConfig(suite_deadline_s=1.0))
+        assert time.monotonic() - started < 4
+        hung = pooled["hung"]
+        assert isinstance(hung, FailedSuite)
+        assert "deadline" in hung.error
+        assert _suite_view(pooled["small"]) == expected["small"]
         if _HAS_PROC:
-            hung = _worker_pids(log, spec_index=1)
-            assert len(hung) == 1
+            hung_pids = _worker_pids(log, spec_index=1)
+            assert len(hung_pids) == 1
             # Well before its 5 s sleep ends, the worker must be gone.
-            assert _wait_until_gone(hung, 2.0) == set()
+            assert _wait_until_gone(hung_pids, 2.0) == set()
+
+    @pytest.mark.skipif(
+        (os.cpu_count() or 1) < 2, reason="workloads cap workers to the CPUs"
+    )
+    def test_workload_reports_the_deadline(self, monkeypatch):
+        """Through the workload, the unfinished query is a failed entry
+        whose error names the deadline; the other query still counts."""
+        from repro.testing.workload import generate_workload
+
+        _fresh_pool_env(monkeypatch, "1:sleep:5")
+        with pytest.warns(PoolDegradedWarning):
+            workload = generate_workload(
+                _schema(), {"hung": SQL, "small": SMALL_SQL},
+                GenConfig(suite_deadline_s=1.0), workers=2,
+            )
+        hung, small = workload.entries
+        assert hung.failed and "deadline" in hung.error
+        assert not small.failed and small.suite.datasets
 
     def test_concurrent_batches_survive_a_kill(self, monkeypatch):
         """One batch's deadline kills the shared pool under two other
-        batches; they resume their unfinished specs in-process (a
+        batches; they resume their unfinished queries in-process (a
         cancelled queued future is a crash, not an error) and return
         exactly the in-process results."""
-        expected = _in_process_views()
+        queries = {"slow": SQL, "small": SMALL_SQL}
+        expected = _in_process_views(queries)
         _fresh_pool_env(monkeypatch, "1:sleep:3")
         outcomes: dict = {}
         threads = [
-            _batch_thread(outcomes, slot, 2, deadline_s)
+            _batch_thread(outcomes, slot, queries, 2, deadline_s)
             for slot, deadline_s in enumerate((1.0, None, None))
         ]
         with pytest.warns(PoolDegradedWarning):
@@ -414,23 +445,27 @@ class TestPoolIsolation:
         assert sorted(outcomes) == [0, 1, 2]
         raised = [o for o in outcomes.values() if isinstance(o, BaseException)]
         assert raised == []
-        assert outcomes[0].results[1] is None
+        assert isinstance(outcomes[0]["slow"], FailedSuite)
         for slot in (1, 2):
-            results = outcomes[slot].results
-            assert all(result is not None for result in results)
-            assert [_spec_view(result) for result in results] == expected
+            views = {
+                name: _suite_view(suite)
+                for name, suite in outcomes[slot].items()
+            }
+            assert views == expected
 
     def test_growth_kills_the_old_pool(self, monkeypatch, tmp_path):
         """A wider batch replaces the shared pool by killing it: the
         narrower batch's hung worker dies with it (left to finish, it
         would be out of reach of that batch's deadline kill), and the
         narrower batch resumes in-process instead of failing."""
-        expected = _in_process_views()
+        narrow_queries = {"slow": SQL, "small": SMALL_SQL}
+        wide_queries = dict(narrow_queries, other="SELECT t.v FROM t")
+        expected = _in_process_views(wide_queries)
         log = tmp_path / "faults.log"
         _fresh_pool_env(monkeypatch, "1:sleep:3", log=log)
         outcomes: dict = {}
-        narrow = _batch_thread(outcomes, "narrow", 2, 1.5)
-        wide = _batch_thread(outcomes, "wide", 3)
+        narrow = _batch_thread(outcomes, "narrow", narrow_queries, 2, 1.5)
+        wide = _batch_thread(outcomes, "wide", wide_queries, 3)
         with pytest.warns(PoolDegradedWarning):
             narrow.start()
             deadline = time.monotonic() + 30
@@ -445,9 +480,57 @@ class TestPoolIsolation:
             narrow.join(timeout=60)
             wide.join(timeout=60)
         assert not narrow.is_alive() and not wide.is_alive()
-        assert outcomes["narrow"].degraded
-        results = outcomes["wide"].results
-        assert [_spec_view(result) for result in results] == expected
+        assert all(
+            suite.health.pool_degraded
+            for suite in outcomes["narrow"].values()
+            if not isinstance(suite, FailedSuite)
+        )
+        views = {
+            name: _suite_view(suite)
+            for name, suite in outcomes["wide"].items()
+        }
+        assert views == expected
+
+
+class TestOrphanedWorkers:
+    #: Starts a two-worker pool with both workers busy, prints their
+    #: pids, then waits to be killed.
+    SCRIPT = """
+import sys, time
+from repro.core.parallel import SupervisedPool
+pool = SupervisedPool(2)
+futures = [pool.submit(time.sleep, 60) for _ in range(2)]
+time.sleep(0.5)
+print(" ".join(str(pid) for pid in pool._executor._processes), flush=True)
+time.sleep(120)
+"""
+
+    @pytest.mark.skipif(not _HAS_PROC, reason="reads /proc to see workers")
+    def test_workers_exit_when_the_owner_is_killed(self):
+        """``kill -9`` of the pool's owner runs no cleanup; the workers
+        must notice they were orphaned and exit on their own."""
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env["PYTHONPATH"] = os.path.abspath(src)
+        proc = subprocess.Popen(
+            [sys.executable, "-c", self.SCRIPT],
+            env=env, stdout=subprocess.PIPE, start_new_session=True,
+        )
+        pids: set[int] = set()
+        try:
+            pids = {int(pid) for pid in proc.stdout.readline().split()}
+            assert len(pids) == 2
+            assert all(_running(pid) for pid in pids)
+            proc.kill()
+            proc.wait(timeout=60)
+            assert _wait_until_gone(pids, 5.0) == set()
+        finally:
+            for pid in [proc.pid, *pids]:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+            proc.stdout.close()
 
 
 class TestInterrupt:
@@ -458,10 +541,16 @@ class TestInterrupt:
     )
     def test_ctrl_c_ends_pooled_generate_promptly(self, tmp_path):
         """SIGINT to the CLI parent alone (pool workers ignore SIGINT)
-        must end a pooled generate at once and take its workers along,
+        must end a pooled workload at once and take its workers along,
         not wait for a sleeping worker's task to finish; the CLI exits
         130 with one ``interrupted`` line, not a traceback."""
         log = tmp_path / "faults.log"
+        workload = tmp_path / "workload.sql"
+        workload.write_text(
+            f"-- name: join\n{self.SQL};\n"
+            "-- name: filter\n"
+            "SELECT * FROM instructor i WHERE i.salary > 70000;\n"
+        )
         env = dict(os.environ)
         src = os.path.join(os.path.dirname(__file__), "..", "src")
         env["PYTHONPATH"] = os.path.abspath(src)
@@ -469,8 +558,8 @@ class TestInterrupt:
         env[faults.LOG_ENV] = str(log)
         proc = subprocess.Popen(
             [
-                sys.executable, "-m", "repro.cli", "generate",
-                "--university", "--workers", "2", self.SQL,
+                sys.executable, "-m", "repro.cli", "workload",
+                str(workload), "--university", "--workers", "2",
             ],
             env=env,
             stdout=subprocess.DEVNULL,
@@ -483,7 +572,7 @@ class TestInterrupt:
         try:
             deadline = time.monotonic() + 120
             while not (log.exists() and _worker_pids(log)):
-                assert proc.poll() is None, "generate exited before pooling"
+                assert proc.poll() is None, "workload exited before pooling"
                 assert time.monotonic() < deadline, "no worker ever started"
                 time.sleep(0.05)
             proc.send_signal(signal.SIGINT)
@@ -491,7 +580,7 @@ class TestInterrupt:
             try:
                 _, stderr = proc.communicate(timeout=5)
             except subprocess.TimeoutExpired:
-                pytest.fail("generate still running 5 s after SIGINT")
+                pytest.fail("workload still running 5 s after SIGINT")
             assert time.monotonic() - started < 5
             assert proc.returncode == 130, stderr
             assert b"Traceback" not in stderr, stderr

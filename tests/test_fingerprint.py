@@ -188,10 +188,12 @@ class TestSchemaAndConfig:
         assert fingerprint(DDL, BASE, None) == fingerprint(DDL, BASE, GenConfig())
 
     def test_observability_and_workers_do_not_separate(self):
-        noisy = GenConfig(
-            trace=True, metrics=True, workers=8, journal_path="/tmp/x.jsonl"
-        )
+        noisy = GenConfig(trace=True, metrics=True, journal_path="/tmp/x.jsonl")
         assert fingerprint(DDL, BASE, noisy) == fingerprint(DDL, BASE)
+        # A worker count is not a config knob (fan-out is per query, set
+        # on the workload call), so no config can spell one.
+        with pytest.raises(TypeError, match="workers"):
+            GenConfig(workers=8)
 
     @pytest.mark.parametrize(
         "config",
@@ -216,17 +218,29 @@ class TestSchemaAndConfig:
 
 
 class TestVersionTag:
-    """``xdata-fp-v3``: ``SearchConfig`` lost ``delta_solve``, so every
-    rendered config — and every digest — changed with it."""
+    """Each tag bump changed every rendered config, and with it every
+    digest: ``xdata-fp-v3`` (``SearchConfig`` lost ``delta_solve``) and
+    ``xdata-fp-v4`` (``GenConfig`` lost ``pool_deadline_s``,
+    ``retry_node_factor`` and ``retry_shrink_copies``).  A cache file
+    written under an older tag reloads, and its entries miss."""
 
     #: ``fingerprint(DDL, BASE)`` under the ``xdata-fp-v2`` tag, whose
     #: default config still rendered ``delta_solve=True``.
     V2_KEY = "58e48c95093806a18735367ba17331caece5b9df607ade541ea4807b5a7881e4"
+    #: ``fingerprint(DDL, BASE)`` under the ``xdata-fp-v3`` tag, whose
+    #: default config still rendered the three retired knobs.
+    V3_KEY = "36114e5b99aa4073bdca2b2e0e2cd5637348dbee4fa54382378d1f7ba0abf49e"
 
     def test_default_config_no_longer_names_delta_solve(self):
         assert "delta_solve" not in canonical_config(GenConfig())
 
-    def test_v2_cache_file_reloads_and_misses(self, tmp_path):
+    def test_default_config_no_longer_names_retired_knobs(self):
+        rendered = canonical_config(GenConfig())
+        for knob in ("pool_deadline_s", "retry_node_factor",
+                     "retry_shrink_copies"):
+            assert knob not in rendered
+
+    def _assert_reloads_and_misses(self, tmp_path, old_key):
         import json
 
         from repro.service import SuiteCache
@@ -234,13 +248,19 @@ class TestVersionTag:
 
         path = tmp_path / "cache.jsonl"
         path.write_text(
-            json.dumps({"key": request_key(self.V2_KEY, "generate", None),
+            json.dumps({"key": request_key(old_key, "generate", None),
                         "payload": '{"datasets":[]}'}) + "\n",
             encoding="utf-8",
         )
         cache = SuiteCache(path=str(path))
         assert len(cache) == 1
         key = request_key(fingerprint(DDL, BASE), "generate", None)
-        assert fingerprint(DDL, BASE) != self.V2_KEY
+        assert fingerprint(DDL, BASE) != old_key
         assert cache.get(key) is None
         assert cache.stats.misses == 1
+
+    def test_v2_cache_file_reloads_and_misses(self, tmp_path):
+        self._assert_reloads_and_misses(tmp_path, self.V2_KEY)
+
+    def test_v3_cache_file_reloads_and_misses(self, tmp_path):
+        self._assert_reloads_and_misses(tmp_path, self.V3_KEY)

@@ -15,7 +15,7 @@ import json
 import pytest
 
 from repro.core.generator import GenConfig, XDataGenerator
-from repro.core.parallel import shutdown_pool
+from repro.core.parallel import generate_suites_parallel, shutdown_pool
 from repro.errors import GenerationError
 from repro.obs import (
     JournalError,
@@ -54,6 +54,17 @@ def _generate(tmp_path=None, **config_kwargs):
         config_kwargs["journal_path"] = str(tmp_path / "journal.jsonl")
     config = GenConfig(**config_kwargs)
     return XDataGenerator(_schema(), config).generate(SQL), config
+
+
+def _pooled_workload(tmp_path):
+    """Two copies of ``SQL`` through ``generate_workload(workers=4)``,
+    journalled to ``tmp_path``: pooled when the host has two CPUs, else
+    in-process (the journal must read the same either way)."""
+    from repro.testing.workload import generate_workload
+
+    config = GenConfig(journal_path=str(tmp_path / "journal.jsonl"))
+    generate_workload(_schema(), {"a": SQL, "b": SQL}, config, workers=4)
+    return config
 
 
 def _solve_spans(trace):
@@ -137,12 +148,16 @@ class TestSuiteTrace:
 
     def test_parallel_run_ships_worker_spans(self):
         shutdown_pool()
-        suite, _ = _generate(trace=True, workers=4)
-        solves = _solve_spans(suite.trace)
-        assert len(solves) == SPEC_COUNT
-        for solve in solves:
-            assert solve["status"] == "completed"
-            assert any(c["name"] == "attempt" for c in solve["children"])
+        pooled = generate_suites_parallel(
+            _schema(), {"a": SQL, "b": SQL}, GenConfig(trace=True), 4,
+            cap_to_cpus=False,
+        )
+        for suite in pooled.values():
+            solves = _solve_spans(suite.trace)
+            assert len(solves) == SPEC_COUNT
+            for solve in solves:
+                assert solve["status"] == "completed"
+                assert any(c["name"] == "attempt" for c in solve["children"])
         shutdown_pool()
 
     def test_budget_skip_is_a_span_status(self, monkeypatch):
@@ -303,12 +318,13 @@ class TestJournal:
 
     def test_parallel_run_journals_in_the_parent(self, tmp_path):
         shutdown_pool()
-        suite, config = _generate(tmp_path, workers=4)
+        config = _pooled_workload(tmp_path)
         events = validate_journal(config.journal_path)
+        assert [e["event"] for e in events].count("run_end") == 2
         solves = [
             e for e in events if e["event"] == "span" and e["name"] == "solve"
         ]
-        assert len(solves) == SPEC_COUNT
+        assert len(solves) == 2 * SPEC_COUNT
         assert all(e["status"] == "completed" for e in solves)
         shutdown_pool()
 
@@ -316,14 +332,14 @@ class TestJournal:
         self, tmp_path, monkeypatch
     ):
         # A crashed pool worker breaks the batch; the parent resumes the
-        # unfinished specs sequentially, where the crash fault degrades
+        # unfinished queries sequentially, where the crash fault degrades
         # to a RuntimeError → error skip.  (On CPU-capped machines the
         # pool falls back in-process and the crash degrades the same
         # way, just without pool involvement.)  Either way the journal
-        # must close one solve span per derived spec.
+        # must close one solve span per derived spec of each query.
         shutdown_pool()
         monkeypatch.setenv(faults.FAULTS_ENV, "2:crash")
-        suite, config = _generate(tmp_path, workers=4)
+        config = _pooled_workload(tmp_path)
         shutdown_pool()
         events = validate_journal(config.journal_path)
         statuses = sorted(
@@ -331,9 +347,9 @@ class TestJournal:
             for e in events
             if e["event"] == "span" and e["name"] == "solve"
         )
-        assert len(statuses) == SPEC_COUNT
-        assert statuses.count("completed") == SPEC_COUNT - 1
-        assert statuses[-1].startswith("skipped:error")
+        assert len(statuses) == 2 * SPEC_COUNT
+        assert statuses.count("completed") == 2 * (SPEC_COUNT - 1)
+        assert statuses[-2:] == ["skipped:error:RuntimeError"] * 2
 
     def test_validator_rejects_torn_writes(self, tmp_path):
         path = tmp_path / "torn.jsonl"

@@ -1,8 +1,9 @@
 """Parallel generation determinism: a pooled run must equal a sequential one.
 
-The parallel layer re-derives specs in worker processes and merges
-results in spec order, so ``workers=4`` must produce byte-identical
-suites to ``workers=1`` — including the UNSAT/skipped groups and the
+The parallel layer hands whole queries to worker processes, each running
+the ordinary sequential pipeline, and returns the suites in query order,
+so a pooled batch must produce byte-identical suites to in-process
+generation — including the UNSAT/skipped groups and the
 relaxation-ladder datasets, which exercise the retry paths inside
 ``_run_spec``.  Tests that need real worker processes bypass the
 CPU-count cap (``cap_to_cpus=False``) so the pool protocol is exercised
@@ -14,7 +15,6 @@ from __future__ import annotations
 import pytest
 
 from repro.core.generator import GenConfig, XDataGenerator
-from repro.core import parallel
 from repro.core.parallel import (
     FailedSuite,
     effective_workers,
@@ -35,6 +35,12 @@ from tests.workload import (
 
 _fingerprint = suite_fingerprint
 
+#: Two of its comparison datasets are UNSAT: the weaker bound cannot be
+#: violated while the stronger one holds.
+UNSAT_SQL = (
+    "SELECT * FROM department d WHERE d.budget < 120000 AND d.budget < 90000"
+)
+
 
 def _pk_group_schema():
     """GROUP BY over the whole PK: forces the S1/S2 relaxation ladder."""
@@ -47,6 +53,20 @@ def _pk_group_schema():
             )
         ]
     )
+
+
+def _assert_pooled_equals_sequential(schema, queries, config=None):
+    """Pool ``queries`` on four real workers; every suite must equal its
+    in-process twin.  Returns the pooled suites by name."""
+    config = config or GenConfig()
+    pooled = generate_suites_parallel(
+        schema, queries, config, 4, cap_to_cpus=False
+    )
+    assert list(pooled) == list(queries)
+    for name, sql in queries.items():
+        sequential = XDataGenerator(schema, config).generate(sql)
+        assert _fingerprint(sequential) == _fingerprint(pooled[name])
+    return pooled
 
 
 def _pooled_by_schema(jobs, config):
@@ -85,37 +105,6 @@ class TestEffectiveWorkers:
         assert effective_workers(4, 10, cap_to_cpus=False) == 4
 
 
-class TestSpecFanoutDeterminism:
-    """GenConfig(workers=4) through the public generate() entry point."""
-
-    @pytest.mark.parametrize("name", ["Q2", "Q5", "Q7"])
-    def test_suites_identical(self, name):
-        schema, sql = uni_query(name)
-        sequential = XDataGenerator(schema, GenConfig(workers=1)).generate(
-            sql
-        )
-        parallel = XDataGenerator(schema, GenConfig(workers=4)).generate(
-            sql
-        )
-        assert _fingerprint(sequential) == _fingerprint(parallel)
-
-    def test_skipped_groups_covered(self):
-        """The comparison must include UNSAT/skipped groups, not just SAT."""
-        schema, sql = uni_query("Q5")
-        suite = XDataGenerator(schema, GenConfig(workers=4)).generate(sql)
-        assert suite.skipped, "expected Q5 to produce skipped groups"
-
-    def test_relaxation_path_identical(self):
-        schema = _pk_group_schema()
-        sql = "SELECT t.g, SUM(t.a) FROM t GROUP BY t.g"
-        sequential = XDataGenerator(schema, GenConfig(workers=1)).generate(sql)
-        parallel = XDataGenerator(schema, GenConfig(workers=4)).generate(sql)
-        assert _fingerprint(sequential) == _fingerprint(parallel)
-        assert any(d.relaxation for d in parallel.datasets), (
-            "expected the relaxation ladder to fire"
-        )
-
-
 class TestPooledBatchDeterminism:
     """generate_suites_parallel with real worker processes (cap bypassed)."""
 
@@ -137,15 +126,28 @@ class TestPooledBatchDeterminism:
         queries = {
             name: UNIVERSITY_QUERIES[name]["sql"] for name in ("Q1", "Q8")
         }
-        schema = schema_teaches_fk()
-        config = GenConfig()
-        pooled = generate_suites_parallel(
-            schema, queries, config, 4, cap_to_cpus=False
-        )
-        assert list(pooled) == list(queries)
-        for name, sql in queries.items():
-            sequential = XDataGenerator(schema, config).generate(sql)
-            assert _fingerprint(sequential) == _fingerprint(pooled[name])
+        _assert_pooled_equals_sequential(schema_teaches_fk(), queries)
+
+    def test_skipped_groups_covered(self):
+        """The comparison must include UNSAT and structural skips, not
+        just SAT datasets."""
+        schema, q5 = uni_query("Q5")
+        queries = {"unsat": UNSAT_SQL, "Q5": q5}
+        pooled = _assert_pooled_equals_sequential(schema, queries)
+        reasons = [s.reason for s in pooled["unsat"].skipped]
+        assert reasons.count("unsat") == 2
+        assert pooled["Q5"].skipped, "expected Q5 to produce skipped groups"
+
+    def test_relaxation_path_identical(self):
+        queries = {
+            func: f"SELECT t.g, {func}(t.a) FROM t GROUP BY t.g"
+            for func in ("SUM", "MAX")
+        }
+        pooled = _assert_pooled_equals_sequential(_pk_group_schema(), queries)
+        for suite in pooled.values():
+            assert any(d.relaxation for d in suite.datasets), (
+                "expected the relaxation ladder to fire"
+            )
 
 
 class TestWorkloadEntryPoint:
@@ -156,8 +158,9 @@ class TestWorkloadEntryPoint:
         queries = {
             "q7": UNIVERSITY_QUERIES["Q7"]["sql"],
             "q8": UNIVERSITY_QUERIES["Q8"]["sql"],
+            "unsat": UNSAT_SQL,
         }
-        sequential = generate_workload(schema, queries, workers=1)
+        sequential = generate_workload(schema, queries)
         parallel = generate_workload(schema, queries, workers=4)
         assert [
             _fingerprint(e.suite) for e in sequential.entries
@@ -165,6 +168,7 @@ class TestWorkloadEntryPoint:
         assert [
             d.db.pretty(only_nonempty=False) for d in sequential.datasets
         ] == [d.db.pretty(only_nonempty=False) for d in parallel.datasets]
+        assert any(s.reason == "unsat" for s in parallel.entries[2].suite.skipped)
 
 
 @pytest.mark.slow
@@ -191,9 +195,10 @@ class TestDeltaParity:
 
 class TestRequestScope:
     """The process skeleton and declaration memos are keyed by the
-    request's exact scope (DESIGN.md §5j).  Pool workers build their
-    caches through the same helper as the sequential path, and a
-    canonical fingerprint is refused instead of keying the memos."""
+    request's exact scope (DESIGN.md §5j).  Every spec solve of a run
+    (in-process, or in a pool worker, which runs the same sequential
+    path) uses the scope ``_request_caches`` builds, and a canonical
+    fingerprint is refused instead of keying the memos."""
 
     SQL = (
         "SELECT I.name FROM instructor I "
@@ -201,8 +206,17 @@ class TestRequestScope:
     )
 
     def _worker_caches(self, schema, config, sql):
-        state = {"derived": {}, "payload": (schema, config, sql)}
-        return parallel._derived_spec_state(state)
+        """(generator, analyzed query, specs, request caches) of ``sql``,
+        built as ``generate`` builds them."""
+        from repro.core.analyze import analyze_query
+        from repro.core.decorrelate import decorrelate
+        from repro.sql.parser import parse_query
+
+        generator = XDataGenerator(schema, config)
+        parsed = decorrelate(parse_query(sql), schema)
+        aq = analyze_query(parsed, schema)
+        specs, _skipped = generator._derive_specs(aq)
+        return generator, aq, specs, generator._request_caches(parsed)
 
     def test_pool_workers_and_sequential_path_share_one_scope(
         self, monkeypatch

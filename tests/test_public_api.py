@@ -4,8 +4,7 @@
 pin their exact export lists so a refactor cannot silently add, drop or
 rename a public name.  They also pin the config contract: each knob
 has exactly one spelling (the retired aliases are constructor errors,
-and copying a config never warns), and the ``Budgets`` overlay is the
-one blessed way to set every deadline at once.
+and copying a config never warns).
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ import pytest
 
 import repro
 from repro import api
-from repro.core.generator import Budgets, GenConfig
+from repro.core.generator import GenConfig
 from repro.solver.search import SearchConfig
 from repro.testing.killcheck import KillCheckConfig
 
@@ -34,7 +33,6 @@ EXPECTED_ALL = sorted(
         "Evaluation",
         "EvalOptions",
         "Session",
-        "Budgets",
         "SuiteHealth",
         # pipeline building blocks
         "XDataGenerator",
@@ -100,7 +98,6 @@ class TestSurfaceLock:
                 "fingerprint",
                 "GenConfig",
                 "SearchConfig",
-                "Budgets",
             ]
         )
 
@@ -156,14 +153,14 @@ class TestDeprecatedAliases:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             SearchConfig(solve_deadline_s=1.0)
-            GenConfig(pool_deadline_s=10.0)
+            GenConfig(suite_deadline_s=10.0)
 
     def test_replace_does_not_warn(self):
         # Copying a config must not trip a warning blamed on the caller
         # (the core, the service and the lazy solver all copy configs).
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert dataclasses.replace(GenConfig(), workers=2).workers == 2
+            assert dataclasses.replace(GenConfig(), retries=2).retries == 2
             assert (
                 dataclasses.replace(SearchConfig(), node_limit=5).node_limit
                 == 5
@@ -175,6 +172,11 @@ class TestDeprecatedAliases:
             (SearchConfig, "deadline_s"),
             (GenConfig, "delta_solve"),
             (SearchConfig, "delta_solve"),
+            (GenConfig, "workers"),
+            (GenConfig, "pool_deadline_s"),
+            (GenConfig, "retry_node_factor"),
+            (GenConfig, "retry_shrink_copies"),
+            (GenConfig, "budgets"),
         ],
     )
     def test_retired_spellings_are_errors(self, factory, keyword):
@@ -193,19 +195,32 @@ class TestDeprecatedAliases:
                 ],
             ),
             (KillCheckConfig, ["subplan_cache"]),
+            (
+                GenConfig,
+                [
+                    "unfold", "include_comparisons", "include_aggregates",
+                    "input_db", "input_mode", "solver", "trace_constraints",
+                    "include_join_condition_datasets",
+                    "use_equivalence_classes", "use_fk_support_slots",
+                    "use_groupby_distinctness", "spec_deadline_s",
+                    "suite_deadline_s", "retries", "fail_fast", "trace",
+                    "metrics", "journal_path",
+                ],
+            ),
         ],
     )
     def test_config_fields_are_locked(self, factory, names):
         # Beyond tuning knobs, the kill-check config carries only its
         # reference arm (the uncached executor); the solver config
-        # carries tuning knobs only.
+        # carries tuning knobs only; the generator config carries no
+        # worker count or pool deadline (fan-out is per query).
         assert [f.name for f in dataclasses.fields(factory)] == names
 
     def test_configs_survive_replace_and_pickle(self):
-        config = GenConfig(pool_deadline_s=9.0, spec_deadline_s=3.0)
+        config = GenConfig(suite_deadline_s=9.0, spec_deadline_s=3.0)
         clone = dataclasses.replace(config, retries=2)
-        assert clone.pool_deadline_s == 9.0 and clone.retries == 2
-        assert pickle.loads(pickle.dumps(clone)).pool_deadline_s == 9.0
+        assert clone.suite_deadline_s == 9.0 and clone.retries == 2
+        assert pickle.loads(pickle.dumps(clone)).suite_deadline_s == 9.0
         search = SearchConfig(solve_deadline_s=4.0)
         assert dataclasses.replace(search).solve_deadline_s == 4.0
         assert pickle.loads(pickle.dumps(search)).solve_deadline_s == 4.0
@@ -288,7 +303,7 @@ class TestFingerprint:
     def test_config_affects_fingerprint_but_observability_does_not(self):
         base = repro.fingerprint(DDL, SQL)
         assert base == repro.fingerprint(
-            DDL, SQL, GenConfig(trace=True, metrics=True, workers=4)
+            DDL, SQL, GenConfig(trace=True, metrics=True)
         )
         assert base != repro.fingerprint(DDL, SQL, GenConfig(unfold=False))
 
@@ -308,27 +323,3 @@ class TestFingerprint:
         assert tight == repro.fingerprint(DDL, SQL, replaced)
         assert tight != repro.fingerprint(DDL, SQL)
 
-
-class TestBudgets:
-    def test_overlay_applies_every_deadline(self):
-        budgets = Budgets(
-            solve_deadline_s=1.0,
-            spec_deadline_s=2.0,
-            suite_deadline_s=3.0,
-            pool_deadline_s=4.0,
-        )
-        config = GenConfig(budgets=budgets)
-        assert config.solver.solve_deadline_s == 1.0
-        assert config.spec_deadline_s == 2.0
-        assert config.suite_deadline_s == 3.0
-        assert config.pool_deadline_s == 4.0
-
-    def test_partial_overlay_keeps_other_fields(self):
-        config = GenConfig(spec_deadline_s=7.0, budgets=Budgets(pool_deadline_s=5.0))
-        assert config.spec_deadline_s == 7.0
-        assert config.pool_deadline_s == 5.0
-
-    def test_replace_is_idempotent(self):
-        config = GenConfig(budgets=Budgets(spec_deadline_s=2.0))
-        clone = dataclasses.replace(config, retries=3)
-        assert clone.spec_deadline_s == 2.0
