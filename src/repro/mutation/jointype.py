@@ -38,11 +38,16 @@ ALL_TARGETS = (JoinKind.LEFT, JoinKind.RIGHT, JoinKind.FULL)
 
 @dataclass(frozen=True)
 class JoinMutant:
-    """One join-type mutant."""
+    """One join-type mutant.
+
+    ``result_class`` is set for the join-order space only (see
+    :attr:`repro.mutation.space.Mutant.result_class`).
+    """
 
     plan: PlanNode
     description: str
     canonical: str
+    result_class: tuple | None = None
 
 
 #: Canonical join symbol per kind (RIGHT is rewritten to LEFT first).
@@ -86,6 +91,19 @@ def plan_canonical(plan: PlanNode) -> str:
     return canonical
 
 
+def _result_class(
+    left: tuple[str, ...], right: tuple[str, ...], kind: JoinKind
+) -> tuple[tuple[str, ...], tuple[str, ...], JoinKind]:
+    """The result class of flipping an INNER join of ``left`` and
+    ``right`` (sorted binding tuples) to ``kind``: RIGHT over (A, B) is
+    LEFT over (B, A), and FULL sorts its two sides."""
+    if kind is JoinKind.RIGHT:
+        return right, left, JoinKind.LEFT
+    if kind is JoinKind.FULL and right < left:
+        return right, left, kind
+    return left, right, kind
+
+
 def join_mutants_inner(
     aq: AnalyzedQuery,
     include_full: bool = False,
@@ -95,7 +113,8 @@ def join_mutants_inner(
 
     Each shape's INNER plan is built once from subtrees shared across
     the whole space (:class:`ShapePlanner`); a mutant is that plan with
-    one join path-copied to another kind.
+    one join path-copied to another kind.  Each mutant carries the
+    :func:`_result_class` of its flipped node.
     """
     targets = ALL_TARGETS if include_full else DEFAULT_TARGETS
     planner = ShapePlanner(aq)
@@ -104,14 +123,17 @@ def join_mutants_inner(
         plan = planner.plan(shape)
         for node in shape_nodes(shape):
             join = planner.subtree(node)
-            left = ",".join(sorted(planner.bindings(node.left)))
-            right = ",".join(sorted(planner.bindings(node.right)))
+            left = tuple(sorted(planner.bindings(node.left)))
+            right = tuple(sorted(planner.bindings(node.right)))
             for kind in targets:
                 mutant = replace_node(plan, join, join.with_kind(kind))
                 canonical = plan_canonical(mutant)
                 if canonical not in mutants:
                     mutants[canonical] = JoinMutant(
-                        mutant, f"[{left}] {kind.value} [{right}]", canonical
+                        mutant,
+                        f"[{','.join(left)}] {kind.value} [{','.join(right)}]",
+                        canonical,
+                        _result_class(left, right, kind),
                     )
     return list(mutants.values())
 

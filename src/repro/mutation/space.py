@@ -23,11 +23,39 @@ class Mutant:
         kind: 'join', 'comparison' or 'aggregate'.
         plan: Executable plan of the mutant.
         description: Human-readable description of the single mutation.
+        result_class: For a mutant of the inner join-order space, the
+            ``(A, B, kind)`` of its flipped join: the binding sets of
+            the two sides and the outer kind, with RIGHT over (A, B)
+            written as LEFT over (B, A) and FULL's sides sorted.
+            Mutants of one class return the same name-aligned bag on
+            every dataset, so the kill check executes one per class
+            (DESIGN.md §5g).  ``None`` — a class of its own — for every
+            other mutant: written outer-join trees, comparison,
+            NULL-test, aggregate and join-condition mutants.
+
+            Why the class is exact: every join-order plan pushes
+            selections to the leaves, and a join's condition is
+            ``_conditions(aq, left, right)`` — per equivalence class,
+            the min member on each side, plus the straddling
+            ``other_joins`` — a function of its two binding sets.  An
+            all-INNER subtree over bindings X is σ(×X): per class its
+            equalities form a spanning tree over the min members of X's
+            bindings, so their conjunction is "all non-NULL and equal"
+            whatever the tree's shape (``=`` is transitive: the analyzer
+            rejects mixed-type comparisons, and values compare exactly),
+            and each ``other_join`` is applied once.  Above the flipped
+            node N, the nodes and the subtrees over C = all − A − B
+            form an inner tree over N's output plus C; contracting N to
+            one leaf whose member of class E is min((A ∪ B) ∩ E), the
+            same spanning argument holds, NULL-padded rows included.
+            So the result is σ_Θ((T_A ⟗ T_B) × ×C) under the query's
+            own select list or aggregation, fixed by (A, B, kind).
     """
 
     kind: str
     plan: PlanNode
     description: str
+    result_class: tuple | None = None
 
     def __str__(self) -> str:
         return f"{self.kind}: {self.description}"
@@ -90,7 +118,9 @@ def enumerate_mutants(
     original = space.original_plan
     if include_join:
         for m in join_mutants(aq, include_full_outer, tree_cap, original):
-            space.mutants.append(Mutant("join", m.plan, m.description))
+            space.mutants.append(
+                Mutant("join", m.plan, m.description, m.result_class)
+            )
     if include_comparison:
         for m in comparison_mutants(aq, original):
             space.mutants.append(Mutant("comparison", m.plan, m.description))

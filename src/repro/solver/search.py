@@ -176,8 +176,10 @@ class GroundSearch:
         self._uf = _UnionFind()
         self._fixed: dict[str, int] = {}
         self._unsat = False
-        #: Class representative -> declared members, copy-on-write over
-        #: the skeleton's index (re-merged for this delta's unions).
+        #: Class representative -> declared members of its merged class,
+        #: copy-on-write over the skeleton's index (re-merged for this
+        #: delta's unions); a declared variable with no entry is a
+        #: class of its own (:meth:`_member_infos`).
         self._members: dict = base.members
         #: Variables whose atoms change under rewriting; set once unit
         #: propagation has finished, before the first rewrite.
@@ -539,7 +541,11 @@ class GroundSearch:
         return domains
 
     def _member_infos(self, rep: str):
-        return self._members.get(rep, ())
+        members = self._members.get(rep)
+        if members is not None:
+            return members
+        info = self._infos.get(rep)
+        return () if info is None else (info,)
 
     def _admit(self, rewritten: Formula) -> bool:
         """Keep a rewritten constraint; decide it if variable-free.
@@ -593,7 +599,8 @@ class GroundSearch:
             # Copy-on-write members index: only the partitions touched
             # by this delta's unions are re-merged (in declaration
             # order, matching a whole-system scan); every other class
-            # reuses the skeleton's precompiled tuple.
+            # reuses the skeleton's precompiled tuple, or is a
+            # singleton with no entry at all.
             groups: dict[str, list[str]] = {}
             for root in self._dirty:
                 groups.setdefault(find(root), []).append(root)
@@ -602,10 +609,13 @@ class GroundSearch:
             for rep, roots in groups.items():
                 merged: list[VarInfo] = []
                 for root in roots:
-                    merged.extend(members.pop(root, ()))
+                    own = members.pop(root, None)
+                    merged.extend(
+                        self._member_infos(root) if own is None else own
+                    )
                 if merged:
                     merged.sort(key=lambda info: decl[info.name])
-                    members[rep] = merged
+                    members[rep] = tuple(merged)
             self._members = members
 
         # The variables of a base-rewritten shared formula are base

@@ -85,9 +85,10 @@ class CompiledSkeleton:
     #: away or fixed.  The delta solve extends this with its own
     #: merges and fixes instead of rescanning.
     touched: frozenset[str]
-    #: Base representative -> class members in declaration order.  A
-    #: delta solve copies this dict and re-merges only the partitions
-    #: its own unions affect.
+    #: Base representative -> class members in declaration order, for
+    #: the classes preprocessing merged; a declared variable with no
+    #: entry is a class of its own.  A delta solve copies this dict and
+    #: re-merges only the partitions its own unions affect.
     members: dict[str, tuple[VarInfo, ...]]
     #: Variable name -> declaration index (the order merged partitions
     #: must preserve to match a from-scratch members scan).
@@ -143,11 +144,12 @@ def trivial_skeleton(infos: dict[str, VarInfo]) -> CompiledSkeleton:
     """The skeleton of an empty shared system over ``infos``.
 
     No parent links, no fixes, no shared formulas: every declared
-    variable is its own class, carrying its own preferred values.  A
-    solve over it is a solve of its whole delta from scratch — how
-    :meth:`repro.solver.solver.Solver.solve` runs without a compiled
-    skeleton, and what :func:`compile_skeleton` compiles over.  ``pref``
-    stays empty: a singleton class's member scan reads the same values.
+    variable is its own class, carrying its own preferred values, so
+    the members index is empty.  A solve over it is a solve of its whole
+    delta from scratch — how :meth:`repro.solver.solver.Solver.solve`
+    runs without a compiled skeleton, and what :func:`compile_skeleton`
+    compiles over.  ``pref`` stays empty: a singleton class's member
+    scan reads the same values.
     """
     return CompiledSkeleton(
         parent={},
@@ -156,7 +158,7 @@ def trivial_skeleton(infos: dict[str, VarInfo]) -> CompiledSkeleton:
         rest=(),
         unsat=False,
         touched=frozenset(),
-        members={name: (info,) for name, info in infos.items()},
+        members={},
         decl_index={name: index for index, name in enumerate(infos)},
         reps=frozenset(infos),
         var_index={},
@@ -200,8 +202,22 @@ def compile_skeleton(
     # flat copy, so every subsequent find is one hop.
     parent = {name: find(name) for name in search._uf._parent}
     fixed = dict(search._fixed)
-    members = {rep: tuple(mem) for rep, mem in search._members.items()}
-    reps = frozenset(rep for rep in members if rep not in fixed)
+    # preprocess left the merged classes' members index; the one pass
+    # over the declared variables collects the live representatives
+    # and every one's preferred values.  A merged-away or fixed
+    # variable needs no domain, so it gets no entry.
+    members = search._members
+    live: list[str] = []
+    pref = {}
+    for name, info in infos.items():
+        if parent.get(name, name) != name or name in fixed:
+            continue
+        live.append(name)
+        if info.kind != "int":
+            pref[name] = ()
+        else:
+            mem = members.get(name, (info,))
+            pref[name] = tuple(sorted({v for i in mem for v in i.preferred}))
 
     # Precompile everything a delta solve would otherwise derive per
     # sibling from the shared prefix: the inverted variable->formula
@@ -237,15 +253,6 @@ def compile_skeleton(
         cvars.append(frozenset(variables))
         for name in variables:
             raw_watch.setdefault(name, []).append(position)
-    pref = {}
-    for rep, mem in members.items():
-        if infos[rep].kind != "int":
-            pref[rep] = ()
-            continue
-        union: set[int] = set()
-        for info in mem:
-            union.update(info.preferred)
-        pref[rep] = tuple(sorted(union))
 
     return CompiledSkeleton(
         parent=parent,
@@ -256,7 +263,7 @@ def compile_skeleton(
         touched=frozenset(search._touched),
         members=members,
         decl_index=trivial.decl_index,
-        reps=reps,
+        reps=frozenset(live),
         var_index={name: tuple(idx) for name, idx in raw_index.items()},
         var_names=frozenset(raw_index),
         active=tuple(active),

@@ -370,6 +370,12 @@ def cross_check_space(space, databases, primary, reference, label: str) -> int:
     :class:`BackendDisagreement` on the first split, *without*
     minimizing (the caller owns minimization, which runs after the
     batch cache is detached).
+
+    Unlike the cached :func:`~repro.testing.killcheck.evaluate_suite`,
+    it executes every mutant, not one per result class: each join
+    order is its own SQL text and its own engine plan, so every member
+    of a class is a distinct differential test of both backends, and
+    the campaign's coverage and counts depend on running them all.
     """
     plan = space.original_plan
     order = mutant_order(space.mutants)

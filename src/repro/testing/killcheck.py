@@ -13,10 +13,13 @@ distinct subtree to one slot; then each dataset is loaded once, the
 original executes once, and the mutant set runs in fingerprint-sorted
 order, so every subtree unchanged from the original — and every subtree
 shared between sibling mutants — is computed once per dataset instead
-of once per mutant.
+of once per mutant.  Join-order mutants with the same
+:attr:`~repro.mutation.space.Mutant.result_class` return the same bag
+on every dataset, so only one representative per class executes and
+its verdict is copied to the others (:func:`result_classes`).
 :class:`KillCheckConfig` carries the one reference switch: with the
-subplan cache off every tree re-executes from scratch, the oracle the
-equivalence tests hold the cached verdicts to.
+subplan cache off every tree — every mutant — re-executes from
+scratch, the oracle the equivalence tests hold the cached verdicts to.
 """
 
 from __future__ import annotations
@@ -125,9 +128,10 @@ class KillCheckConfig:
 
     Attributes:
         subplan_cache: Memoize subplan results per (fingerprint,
-            dataset) across the mutant batch (the §5g hot path).  Off
-            re-executes every tree from scratch — the reference the
-            equivalence tests compare against; the CLI spells it
+            dataset) across the mutant batch and execute one mutant per
+            result class (the §5g hot path).  Off re-executes every
+            mutant's tree from scratch — the reference the equivalence
+            tests compare against; the CLI spells it
             ``--no-subplan-cache``.  Verdicts are identical either way.
     """
 
@@ -160,6 +164,10 @@ class KillReport:
     #: Subplan-cache traffic for the run (``SubplanCache.stats()``), or
     #: ``None`` when the cache was disabled.
     cache_stats: dict | None = None
+    #: Plans actually executed, originals included: one per dataset for
+    #: the original plus one per result class (per mutant uncached),
+    #: less those ``stop_at_first_kill`` skipped.
+    executions: int = 0
 
     @property
     def total(self) -> int:
@@ -191,6 +199,31 @@ def mutant_order(mutants: list[Mutant]) -> list[int]:
     )
 
 
+def result_classes(
+    mutants: list[Mutant], grouped: bool = True
+) -> list[tuple[int, tuple[int, ...]]]:
+    """``(representative, members)`` per result class of ``mutants``.
+
+    Mutants with equal :attr:`~repro.mutation.space.Mutant.result_class`
+    form one class, represented by its first member; a mutant whose
+    class is ``None`` is a class of its own.  Representatives come in
+    the fingerprint-sorted order of :func:`mutant_order`, and only they
+    are fingerprinted: executing the representatives and copying each
+    verdict to its members gives every mutant its exhaustive verdict.
+    ``grouped=False`` makes every mutant a class of its own — the
+    uncached reference, which executes them all.
+    """
+    if not grouped:
+        return [(i, (i,)) for i in mutant_order(mutants)]
+    members: dict[object, list[int]] = {}
+    for index, mutant in enumerate(mutants):
+        key = index if mutant.result_class is None else mutant.result_class
+        members.setdefault(key, []).append(index)
+    classes = [(group[0], tuple(group)) for group in members.values()]
+    classes.sort(key=lambda entry: plan_fingerprint(mutants[entry[0]].plan))
+    return classes
+
+
 def evaluate_suite(
     space: MutationSpace,
     databases: list[Database],
@@ -206,7 +239,12 @@ def evaluate_suite(
     once, the original executes once, and the mutant set walks in
     fingerprint-sorted order over a shared subplan cache (dropped when
     the batch moves to the next dataset, so memory stays bounded by one
-    dataset's working set).
+    dataset's working set).  With the cache on, the mutant set is its
+    result classes (:func:`result_classes`): one representative per
+    class executes — on whichever backend — and its verdict is copied
+    to every member, so each ``killed_by`` list is the one an exhaustive
+    run records.  :meth:`KillCheckConfig.uncached` executes every
+    mutant; it is the oracle the grouped verdicts are tested against.
 
     Args:
         space: The mutation space (provides the analyzed query).
@@ -230,26 +268,31 @@ def evaluate_suite(
     plan = original_plan if original_plan is not None else space.original_plan
     mutants = space.mutants
     outcomes = [MutantOutcome(mutant) for mutant in mutants]
-    order = mutant_order(mutants)
     cache = SubplanCache() if config.subplan_cache else None
+    classes = result_classes(mutants, grouped=cache is not None)
     if cache is not None:
         cache.register(plan)
-        for mutant in mutants:
-            cache.register(mutant.plan)
+        for rep, _ in classes:
+            cache.register(mutants[rep].plan)
+    executions = 0
+
+    def record(members: tuple[int, ...], index: int) -> None:
+        for member in members:
+            outcomes[member].killed_by.append(index)
 
     if backend is None and not cross_check:
         # Hot path: no handle indirection, no integrity re-validation.
-        plans = [mutant.plan for mutant in mutants]
         for index, db in enumerate(databases):
             original = execute_plan(plan, db, cache)
+            executions += 1
             signature = result_signature(original)
             raw = raw_signature(original)
             rowcount = len(original.rows)
-            for i in order:
-                outcome = outcomes[i]
-                if stop_at_first_kill and outcome.killed_by:
+            for rep, members in classes:
+                if stop_at_first_kill and outcomes[rep].killed_by:
                     continue
-                mutant_result = execute_plan(plans[i], db, cache)
+                mutant_result = execute_plan(mutants[rep].plan, db, cache)
+                executions += 1
                 # The subplan cache returns the original's relation
                 # object itself when a mutant's result content matched
                 # it — identical by construction, no comparison needed.
@@ -267,12 +310,13 @@ def evaluate_suite(
                     )
                     mutant_result._verdict_memo = (original, differs)
                 if differs:
-                    outcome.killed_by.append(index)
+                    record(members, index)
             if cache is not None:
                 cache.drop_dataset(db)
         return KillReport(
             outcomes, len(databases),
             cache_stats=cache.stats() if cache is not None else None,
+            executions=executions,
         )
 
     from repro.backends import CrossChecker, resolve_backend
@@ -296,11 +340,11 @@ def evaluate_suite(
                 signature = result_signature(original)
                 raw = raw_signature(original)
                 rowcount = len(original.rows)
-            for i in order:
-                outcome = outcomes[i]
-                if stop_at_first_kill and outcome.killed_by:
+            executions += 1
+            for rep, members in classes:
+                if stop_at_first_kill and outcomes[rep].killed_by:
                     continue
-                mutant = mutants[i]
+                mutant = mutants[rep]
                 context = f"mutant [{mutant.kind}] {mutant.description}"
                 if cross_check:
                     differs = (
@@ -311,14 +355,16 @@ def evaluate_suite(
                         checker.result(mutant.plan, db, context),
                         signature, rowcount, raw,
                     )
+                executions += 1
                 if differs:
-                    outcome.killed_by.append(index)
+                    record(members, index)
             checker.release(db)
             if cache is not None:
                 cache.drop_dataset(db)
     return KillReport(
         outcomes, len(databases),
         cache_stats=cache.stats() if cache is not None else None,
+        executions=executions,
     )
 
 

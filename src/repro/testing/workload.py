@@ -25,7 +25,7 @@ from repro.mutation.space import MutationSpace, enumerate_mutants
 from repro.schema.catalog import Schema
 from repro.testing.killcheck import (
     attached_subplan_cache,
-    mutant_order,
+    result_classes,
     result_signature,
 )
 
@@ -153,10 +153,10 @@ def generate_workload(
             :class:`repro.backends.BackendDisagreement` on any split
             (see :func:`repro.testing.killcheck.evaluate_suite`).
         subplan_cache: Share subtree results across the union
-            kill-matrix batch (DESIGN.md §5g); ``False`` is the
-            reference arm (``--no-subplan-cache``) that re-executes
-            every tree from scratch.  The matrix is identical either
-            way.
+            kill-matrix batch and execute one mutant per result class
+            (DESIGN.md §5g); ``False`` is the reference arm
+            (``--no-subplan-cache``) that re-executes every mutant's
+            tree from scratch.  The matrix is identical either way.
 
     Observability (DESIGN.md §5e): with ``config.journal_path`` set,
     every query's run is appended to one journal.  Sequential runs
@@ -248,17 +248,19 @@ def generate_workload(
             return result_signature(execute_plan(plan, db, cache))
         return checker.signature(plan, db, context)
 
-    orders = [
-        mutant_order(entry.space.mutants) if not entry.failed
-        else []
+    # With the cache on, each query's mutants run one per result class
+    # (verdicts copied to the members), as in evaluate_suite.
+    classes = [
+        [] if entry.failed
+        else result_classes(entry.space.mutants, grouped=cache is not None)
         for entry in entries
     ]
     if cache is not None:
-        for entry in entries:
+        for entry, entry_classes in zip(entries, classes):
             if not entry.failed:
                 cache.register(entry.space.original_plan)
-                for mutant in entry.space.mutants:
-                    cache.register(mutant.plan)
+                for rep, _ in entry_classes:
+                    cache.register(entry.space.mutants[rep].plan)
     kills: list[set[tuple[int, int]]] = [set() for _ in all_datasets]
     killable: set[tuple[int, int]] = set()
     try:
@@ -272,12 +274,15 @@ def generate_workload(
                         entry.space.original_plan, db,
                         f"{entry.name}: original query",
                     )
-                    for mutant_index in orders[entry_index]:
-                        mutant = entry.space.mutants[mutant_index]
+                    for rep, members in classes[entry_index]:
+                        mutant = entry.space.mutants[rep]
                         context = f"{entry.name}: mutant {mutant.description}"
                         if signature_of(mutant.plan, db, context) != original:
-                            kills[dataset_pos].add((entry_index, mutant_index))
-                            killable.add((entry_index, mutant_index))
+                            for mutant_index in members:
+                                kills[dataset_pos].add(
+                                    (entry_index, mutant_index)
+                                )
+                                killable.add((entry_index, mutant_index))
                 if checker is not None:
                     checker.release(db)
                 if cache is not None:
