@@ -212,6 +212,31 @@ def _conditions(
     return conditions
 
 
+def _leaf_equalities(aq: AnalyzedQuery, binding: str) -> list[Comparison]:
+    """Equalities between members of one equivalence class that sit in
+    ``binding``: its min member equals each other one.
+
+    No join applies them — a join equates only the min member of each
+    side — so without them a query like ``... WHERE i.id = t.id AND
+    i.salary = t.id`` would lose ``i.salary = t.id`` in every join
+    order.  With them, each binding's members are equal at its leaf and
+    the joins equate the bindings, so every join order applies the
+    whole class.
+    """
+    equalities: list[Comparison] = []
+    for ec in aq.eq_classes:
+        members = sorted(a for a in ec if a.binding == binding)
+        equalities.extend(
+            Comparison(
+                "=",
+                ColumnRef(binding, members[0].column),
+                ColumnRef(binding, other.column),
+            )
+            for other in members[1:]
+        )
+    return equalities
+
+
 # ---------------------------------------------------------------------------
 # Shape -> plan
 # ---------------------------------------------------------------------------
@@ -250,6 +275,7 @@ class ShapePlanner:
             selections.extend(
                 info.pred for info in aq.null_tests if info.attr.binding == binding
             )
+            selections.extend(_leaf_equalities(aq, binding))
             if selections:
                 plan = SelectNode(plan, tuple(selections))
         else:

@@ -1,12 +1,13 @@
 """One bounded, thread-safe memo for every cache that outlives a request.
 
-The parse, skeleton, declaration, DDL-schema and SQLite-template memos,
-the service's suite cache and a :class:`~repro.api.Session`'s runs are
-each a :class:`Memo`: an LRU map bounded by entry count or by a size
-function, with one :class:`CacheStats` and an optional eviction
-callback.  A memo created with a ``name`` is a *process memo*: its
-counters appear in :func:`memo_counters` (the service's ``/metrics``)
-and :func:`clear_process_memos` empties it.  One ``os.register_at_fork``
+The parse, skeleton, declaration, DDL-schema, SQLite-template and
+mutation-space memos, the service's suite cache and a
+:class:`~repro.api.Session`'s runs are each a :class:`Memo`: an LRU map
+bounded by entry count or by a size function, with one
+:class:`CacheStats` and an optional eviction callback.  A memo created
+with a ``name`` is a *process memo*: its counters appear in
+:func:`memo_counters` (the service's ``/metrics``) and
+:func:`clear_process_memos` empties it.  One ``os.register_at_fork``
 hook gives every memo a fresh lock in a forked child (a parent thread
 may hold the old one) and empties, without calling back, those built
 with ``fork_safe=False`` (SQLite connections must not cross a fork).

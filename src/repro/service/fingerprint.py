@@ -143,7 +143,7 @@ class _Renamer:
                 left=self._rename_from(item.left, scope),
                 right=self._rename_from(item.right, scope),
                 condition=tuple(
-                    self._comparison(c, scope) for c in item.condition
+                    self._predicate(c, scope) for c in item.condition
                 ),
                 natural=item.natural,
             )

@@ -34,9 +34,9 @@ from repro.datasets.university import university_sample_database, university_sch
 from repro.engine.database import Database
 from repro.engine.subplan import SubplanCache
 from repro.errors import XDataError
-from repro.mutation.space import enumerate_mutants
+from repro.mutation.space import enumerate_mutants, mutant_order
 from repro.schema.catalog import Schema
-from repro.testing.killcheck import attached_subplan_cache, mutant_order
+from repro.testing.killcheck import attached_subplan_cache
 
 #: Single-column equi-join edges of the university schema, as
 #: (left "table alias", right "table alias", join condition) triples.

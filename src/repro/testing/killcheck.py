@@ -32,10 +32,10 @@ from fractions import Fraction
 
 from repro.engine.database import Database
 from repro.engine.executor import execute_plan
-from repro.engine.plan import PlanNode, plan_fingerprint
+from repro.engine.plan import PlanNode
 from repro.engine.relation import Relation
 from repro.engine.subplan import SubplanCache
-from repro.mutation.space import Mutant, MutationSpace
+from repro.mutation.space import Mutant, MutationSpace, result_classes
 
 
 def canonical_value(value):
@@ -185,45 +185,6 @@ class KillReport:
         return sum(1 for o in self.outcomes if index in o.killed_by)
 
 
-def mutant_order(mutants: list[Mutant]) -> list[int]:
-    """Indices of ``mutants`` in cache-friendly evaluation order.
-
-    Fingerprint-sorted order clusters structurally similar plans —
-    sibling join-type mutants, comparison mutants over the same join
-    tree — so each dataset's warm-cache window is maximised.  The
-    returned indices always cover every mutant exactly once; outcome
-    lists stay in the original mutant order regardless.
-    """
-    return sorted(
-        range(len(mutants)), key=lambda i: plan_fingerprint(mutants[i].plan)
-    )
-
-
-def result_classes(
-    mutants: list[Mutant], grouped: bool = True
-) -> list[tuple[int, tuple[int, ...]]]:
-    """``(representative, members)`` per result class of ``mutants``.
-
-    Mutants with equal :attr:`~repro.mutation.space.Mutant.result_class`
-    form one class, represented by its first member; a mutant whose
-    class is ``None`` is a class of its own.  Representatives come in
-    the fingerprint-sorted order of :func:`mutant_order`, and only they
-    are fingerprinted: executing the representatives and copying each
-    verdict to its members gives every mutant its exhaustive verdict.
-    ``grouped=False`` makes every mutant a class of its own — the
-    uncached reference, which executes them all.
-    """
-    if not grouped:
-        return [(i, (i,)) for i in mutant_order(mutants)]
-    members: dict[object, list[int]] = {}
-    for index, mutant in enumerate(mutants):
-        key = index if mutant.result_class is None else mutant.result_class
-        members.setdefault(key, []).append(index)
-    classes = [(group[0], tuple(group)) for group in members.values()]
-    classes.sort(key=lambda entry: plan_fingerprint(mutants[entry[0]].plan))
-    return classes
-
-
 def evaluate_suite(
     space: MutationSpace,
     databases: list[Database],
@@ -269,7 +230,10 @@ def evaluate_suite(
     mutants = space.mutants
     outcomes = [MutantOutcome(mutant) for mutant in mutants]
     cache = SubplanCache() if config.subplan_cache else None
-    classes = result_classes(mutants, grouped=cache is not None)
+    classes = (
+        space.result_classes if cache is not None
+        else result_classes(mutants, grouped=False)
+    )
     if cache is not None:
         cache.register(plan)
         for rep, _ in classes:

@@ -21,13 +21,9 @@ from repro.core.generator import GenConfig, GeneratedDataset, TestSuite, XDataGe
 from repro.engine.database import Database
 from repro.engine.executor import execute_plan
 from repro.engine.subplan import SubplanCache
-from repro.mutation.space import MutationSpace, enumerate_mutants
+from repro.mutation.space import MutationSpace, enumerate_mutants, result_classes
 from repro.schema.catalog import Schema
-from repro.testing.killcheck import (
-    attached_subplan_cache,
-    result_classes,
-    result_signature,
-)
+from repro.testing.killcheck import attached_subplan_cache, result_signature
 
 
 @dataclass
@@ -252,7 +248,8 @@ def generate_workload(
     # (verdicts copied to the members), as in evaluate_suite.
     classes = [
         [] if entry.failed
-        else result_classes(entry.space.mutants, grouped=cache is not None)
+        else entry.space.result_classes if cache is not None
+        else result_classes(entry.space.mutants, grouped=False)
         for entry in entries
     ]
     if cache is not None:

@@ -95,6 +95,14 @@ class TestQueryCollisions:
         b = ("SELECT p.salary FROM emp p join dept q on p.dept_id = q.id")
         assert canonical_query(a) == canonical_query(b)
 
+    def test_null_test_in_join_condition_collides(self):
+        a = ("SELECT e.id FROM emp e LEFT OUTER JOIN dept d "
+             "ON e.dept_id = d.id AND d.name IS NULL")
+        b = ("select x.id from emp x left outer join dept y "
+             "on x.dept_id = y.id and y.name is null")
+        assert canonical_query(a) == canonical_query(b)
+        assert "t2.name IS NULL" in canonical_query(a)
+
 
 class TestQuerySeparation:
     """Differences that must change the fingerprint."""

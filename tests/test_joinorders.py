@@ -147,3 +147,61 @@ class TestPlans:
                 result_signature(execute_plan(shape_to_plan(aq, shape), uni_db))
                 == baseline
             )
+
+
+#: Queries whose equivalence classes put two members in one binding:
+#: no join applies their equality, so a leaf selection must.
+SAME_BINDING_CLASSES = [
+    (
+        "SELECT * FROM instructor i, teaches t "
+        "WHERE i.id = t.id AND i.salary = t.id"
+    ),
+    (
+        "SELECT * FROM instructor i, teaches t, advisor a "
+        "WHERE i.id = t.id AND a.i_id = i.id AND a.s_id = t.id"
+    ),
+    (
+        "SELECT t.course_id, COUNT(*) FROM instructor i, teaches t, course c "
+        "WHERE i.id = t.id AND t.course_id = c.course_id "
+        "AND t.sec_id = i.id GROUP BY t.course_id"
+    ),
+]
+
+
+class TestSameBindingClassMembers:
+    """An equality between two class members of one binding is applied
+    by every join order, as the written query applies it."""
+
+    def test_dropped_predicate_instance(self, uni_schema_nofk):
+        from repro.engine.database import Database
+
+        aq = analyze(SAME_BINDING_CLASSES[0], uni_schema_nofk)
+        db = Database(uni_schema_nofk)
+        db.insert_rows("instructor", [(1, "a", "CS", 5)])
+        db.insert_rows("teaches", [(1, 10, 1, "Fall", 2009)])
+        assert execute_plan(compile_query(aq.query), db).rows == []
+        for shape in enumerate_shapes(aq):
+            assert execute_plan(shape_to_plan(aq, shape), db).rows == []
+
+    @pytest.mark.parametrize("sql", SAME_BINDING_CLASSES)
+    def test_inner_plans_return_the_original_bag(self, uni_schema_nofk, sql):
+        """The planner only reorders inner joins, so on random legal
+        instances every INNER plan returns the written query's bag."""
+        import random
+
+        from repro.core.joinorders import ShapePlanner
+        from repro.testing.equivalence import random_database
+
+        aq = analyze(sql, uni_schema_nofk)
+        planner = ShapePlanner(aq)
+        plans = [planner.plan(shape) for shape in enumerate_shapes(aq)]
+        original = compile_query(aq.query)
+        rng = random.Random(11)
+        nonempty = 0
+        for _ in range(60):
+            db = random_database(uni_schema_nofk, rng, value_range=3)
+            expected = result_signature(execute_plan(original, db))
+            nonempty += bool(sum(expected[1].values()))
+            for plan in plans:
+                assert result_signature(execute_plan(plan, db)) == expected
+        assert nonempty > 0

@@ -14,6 +14,7 @@ from repro.engine.relation import Relation
 from repro.errors import XDataError
 from repro.mutation import enumerate_mutants
 from repro.mutation.jointype import _result_class
+from repro.mutation.space import result_classes
 from repro.sql.ast import JoinKind
 from repro.sql.parser import parse_query
 from repro.testing import (
@@ -24,11 +25,7 @@ from repro.testing import (
     results_differ,
     sample_conformance_query,
 )
-from repro.testing.killcheck import (
-    KillCheckConfig,
-    result_classes,
-    result_signature,
-)
+from repro.testing.killcheck import KillCheckConfig, result_signature
 from repro.testing.workload import generate_workload
 from tests.workload import KILLCHECK_CORPUS
 
@@ -394,3 +391,31 @@ class TestGroupedKillCheck:
                 databases = suite.databases + extra
                 _assert_grouped_matches_uncached(space, databases, sql)
                 _assert_member_bags_equal(space, extra, sql)
+
+    @pytest.mark.slow
+    def test_table12_warm_pass_matches_cold_uncached(self, table12_jobs):
+        """Every Table I/II job evaluated twice in one process: the
+        second evaluation enumerates nothing (the ``mutation_space`` memo
+        serves the first one's space, classes already sorted) and its
+        grouped kill matrix equals the uncached reference over a cold
+        enumeration.  The memo is emptied per job, as Q6's spaces alone
+        would evict the others (it is bounded by plans)."""
+        from repro.memo import clear_process_memos
+
+        for schema, sql in table12_jobs:
+            suite = XDataGenerator(schema).generate(sql)
+            for full in (False, True):
+                clear_process_memos()
+                cold = enumerate_mutants(suite.analyzed, include_full_outer=full)
+                reference = [
+                    o.killed_by for o in evaluate_suite(
+                        cold, suite.databases, config=KillCheckConfig.uncached()
+                    ).outcomes
+                ]
+                evaluate_suite(cold, suite.databases)
+                warm = enumerate_mutants(suite.analyzed, include_full_outer=full)
+                assert warm is cold
+                assert [
+                    o.killed_by
+                    for o in evaluate_suite(warm, suite.databases).outcomes
+                ] == reference, (sql, full)

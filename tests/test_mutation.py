@@ -228,7 +228,7 @@ def _ref_shape_plan(aq, shape, flip):
     from repro.engine.plan import (
         AggregateNode, JoinNode, ProjectNode, ScanNode, SelectNode,
     )
-    from repro.sql.ast import JoinKind
+    from repro.sql.ast import ColumnRef, Comparison, JoinKind
 
     def build(node):
         if isinstance(node, LeafShape):
@@ -241,6 +241,15 @@ def _ref_shape_plan(aq, shape, flip):
                 info.pred for info in aq.null_tests
                 if info.attr.binding == node.binding
             ]
+            for ec in aq.eq_classes:
+                members = sorted(a for a in ec if a.binding == node.binding)
+                selections += [
+                    Comparison(
+                        "=", ColumnRef(node.binding, members[0].column),
+                        ColumnRef(node.binding, other.column),
+                    )
+                    for other in members[1:]
+                ]
             return SelectNode(plan, tuple(selections)) if selections else plan
         kind = flip[1] if node is flip[0] else JoinKind.INNER
         return JoinNode(

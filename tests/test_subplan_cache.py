@@ -40,7 +40,9 @@ from repro.engine.plan import (
     plan_fingerprint,
 )
 from repro.engine.subplan import SubplanCache, estimate_entry_bytes
+from repro.memo import clear_process_memos
 from repro.mutation import enumerate_mutants
+from repro.mutation.space import mutant_order
 from repro.sql.ast import (
     ColumnRef,
     Comparison,
@@ -54,7 +56,6 @@ from repro.testing.killcheck import (
     KillCheckConfig,
     differs_from_signature,
     evaluate_suite,
-    mutant_order,
     raw_signature,
     result_signature,
 )
@@ -430,8 +431,11 @@ class TestBatchLifetime:
         assert backend.subplan_cache is own
 
     def test_no_batch_state_outlives_its_batch(self, uni_schema_nofk, uni_db):
-        """Once a batch's results are dropped, its plans are collectable,
-        and the executor layer holds no module-level memo that grew."""
+        """Once a batch's results are dropped and the process memos
+        emptied, its plans are collectable, and the executor layer holds
+        no module-level memo that grew.  The ``mutation_space`` memo
+        keeps each enumerated space's plans alive by design, so it is
+        cleared before the plans are collected."""
         sql = KILLCHECK_CORPUS[3]
         before = _module_containers()
         suite = XDataGenerator(uni_schema_nofk).generate(sql)
@@ -444,6 +448,7 @@ class TestBatchLifetime:
         refs += [weakref.ref(entry.space.original_plan),
                  weakref.ref(entry.space.mutants[0].plan)]
         del suite, space, report, workload, entry
+        clear_process_memos()
         gc.collect()
         assert [ref() for ref in refs] == [None] * len(refs)
         assert _module_containers() == before
